@@ -367,40 +367,6 @@ func BenchmarkDirectivesOnLWT(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationIdlePolicy compares the busy-wait idle policy the C
-// libraries default to against parked idle streams, once at core-bounded
-// stream counts and once oversubscribed — the regime where EXPERIMENTS.md
-// notes this model's busy-wait diverges from the paper's 72-HT testbed.
-func BenchmarkAblationIdlePolicy(b *testing.B) {
-	const tasks = 300
-	over := runtime.NumCPU() + 8
-	for _, cfg := range []struct {
-		name    string
-		streams int
-		parking bool
-	}{
-		{"busy-wait/fit", 4, false},
-		{"parking/fit", 4, true},
-		{fmt.Sprintf("busy-wait/over-%d", over), over, false},
-		{fmt.Sprintf("parking/over-%d", over), over, true},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			rt := argobots.Init(argobots.Config{XStreams: cfg.streams, IdleParking: cfg.parking})
-			defer rt.Finalize()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tks := make([]*argobots.Task, tasks)
-				for j := range tks {
-					tks[j] = rt.TaskCreate(func() {})
-				}
-				for _, tk := range tks {
-					rt.TaskFree(tk)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationDequeLocking compares the mutex-protected deque the
 // paper describes for MassiveThreads (§III-C: steals "require mutex
 // protection") against the Chase-Lev lock-free deque the runtimes now
@@ -456,10 +422,7 @@ func BenchmarkAblationDequeLocking(b *testing.B) {
 // the ULT path reuses the parked trampoline goroutine inside the pooled
 // descriptor (0 spawns) and its single allocation is the public handle,
 // which doubles as the body argument; the join parks the primary in the
-// unit's waiter slot after one cooperative poll. Idle streams park
-// (the passive wait policy) so that on small hosts the benchmark
-// measures the create/join path rather than busy-wait oversubscription —
-// that regime is BenchmarkAblationIdlePolicy's subject.
+// unit's waiter slot after one cooperative poll.
 func BenchmarkULTCreateJoin(b *testing.B) {
 	for _, cfg := range []struct {
 		name string
@@ -469,7 +432,7 @@ func BenchmarkULTCreateJoin(b *testing.B) {
 		{"tasklet/streams-4", 4},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			rt := argobots.Init(argobots.Config{XStreams: cfg.xs, IdleParking: true})
+			rt := argobots.Init(argobots.Config{XStreams: cfg.xs})
 			defer rt.Finalize()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -482,7 +445,7 @@ func BenchmarkULTCreateJoin(b *testing.B) {
 		})
 	}
 	b.Run("ult/streams-1", func(b *testing.B) {
-		rt := argobots.Init(argobots.Config{XStreams: 1, IdleParking: true})
+		rt := argobots.Init(argobots.Config{XStreams: 1})
 		defer rt.Finalize()
 		b.ReportAllocs()
 		b.ResetTimer()

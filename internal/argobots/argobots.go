@@ -66,14 +66,6 @@ type Config struct {
 	// factory is called once per pool so instances are never shared
 	// between private pools.
 	BasePolicy func() sched.Policy
-	// IdleParking makes idle execution streams park on a condition
-	// variable instead of busy-yielding — the passive analogue of
-	// OMP_WAIT_POLICY for LWT executors. Busy-wait (the default,
-	// matching the C library) wins when streams ≤ cores; parking avoids
-	// the oversubscription collapse when streams exceed cores (see
-	// EXPERIMENTS.md "Known divergences" and
-	// BenchmarkAblationIdlePolicy).
-	IdleParking bool
 }
 
 // Runtime is an initialized Argobots instance.
@@ -82,24 +74,26 @@ type Runtime struct {
 	mu       sync.Mutex // guards xstreams growth (dynamic ES creation)
 	xstreams []*XStream
 	shared   *sched.Stack // non-nil in SharedPool mode
+	idle     ult.Idler    // the shared pool's wake domain
 	rr       atomic.Pointer[sched.RoundRobin]
 	primary  *ult.ULT
 	// pWaiter is the primary ULT's reusable park-slot entry: main-thread
 	// joins are serial, so one waiter serves every ThreadFree/TaskFree
 	// without a per-join allocation.
 	pWaiter  *ult.DoneWaiter
-	parker   *ult.Parker // non-nil when IdleParking is on
 	shutdown atomic.Bool
 	wg       sync.WaitGroup
 	finished atomic.Bool
 }
 
 // XStream is one execution stream: an executor plus its (stackable)
-// scheduler over a pool.
+// scheduler over a pool, and the idler the pool's pushes wake — its own
+// with private pools, the runtime's with the shared pool.
 type XStream struct {
 	rt    *Runtime
 	exec  *ult.Executor
 	sched *sched.Stack
+	idle  *ult.Idler
 }
 
 // ID returns the execution stream's rank.
@@ -163,9 +157,6 @@ func Init(cfg Config) *Runtime {
 		panic(fmt.Sprintf("argobots: XStreams = %d, need >= 1", cfg.XStreams))
 	}
 	rt := &Runtime{cfg: cfg}
-	if cfg.IdleParking {
-		rt.parker = ult.NewParker()
-	}
 	if cfg.Pools == SharedPool {
 		rt.shared = sched.NewStack(rt.basePolicy())
 	}
@@ -196,9 +187,9 @@ func (rt *Runtime) basePolicy() sched.Policy {
 func (rt *Runtime) addXStream(id int) *XStream {
 	x := &XStream{rt: rt, exec: ult.NewExecutor(id)}
 	if rt.shared != nil {
-		x.sched = rt.shared
+		x.sched, x.idle = rt.shared, &rt.idle
 	} else {
-		x.sched = sched.NewStack(rt.basePolicy())
+		x.sched, x.idle = sched.NewStack(rt.basePolicy()), new(ult.Idler)
 	}
 	rt.mu.Lock()
 	rt.xstreams = append(rt.xstreams, x)
@@ -237,18 +228,18 @@ func (rt *Runtime) xstream(i int) *XStream {
 	return rt.xstreams[i]
 }
 
-// pushTo inserts a ready unit into the pool serving ES es and wakes any
-// parked streams.
+// pushTo inserts a ready unit into the pool serving ES es and wakes the
+// streams parked on that pool.
 func (rt *Runtime) pushTo(u ult.Unit, es int) {
 	ult.MarkReady(u)
 	if rt.shared != nil {
 		rt.shared.Push(u)
-	} else {
-		rt.xstream(es).sched.Push(u)
+		rt.idle.Wake()
+		return
 	}
-	if rt.parker != nil {
-		rt.parker.Wake()
-	}
+	x := rt.xstream(es)
+	x.sched.Push(u)
+	x.idle.Wake()
 }
 
 // nextES picks the round-robin target for a new unit.
@@ -294,9 +285,9 @@ func (rt *Runtime) TaskCreateTo(fn func(), es int) *Task {
 
 // ThreadCreateBulk creates one ULT per body and deals the batch across
 // the execution streams in contiguous blocks — one batched pool insertion
-// per stream and a single parker wake, instead of a push and a wake per
-// unit. The distribution set matches the round-robin dealing of
-// ThreadCreate; only the interleaving differs.
+// and one wake per stream, instead of a push and a wake per unit. The
+// distribution set matches the round-robin dealing of ThreadCreate; only
+// the interleaving differs.
 func (rt *Runtime) ThreadCreateBulk(fns []func(*Context)) []*Thread {
 	ths := make([]*Thread, len(fns))
 	units := make([]ult.Unit, len(fns))
@@ -327,7 +318,7 @@ func (rt *Runtime) TaskCreateBulk(fns []func()) []*Task {
 
 // pushBulk marks the units ready and distributes them: one PushBatch into
 // the shared pool, or contiguous blocks across the private pools starting
-// at the round-robin cursor, followed by a single wake.
+// at the round-robin cursor, each followed by one wake.
 func (rt *Runtime) pushBulk(units []ult.Unit) {
 	if len(units) == 0 {
 		return
@@ -337,21 +328,21 @@ func (rt *Runtime) pushBulk(units []ult.Unit) {
 	}
 	if rt.shared != nil {
 		rt.shared.PushBatch(units)
-	} else {
-		rt.mu.Lock()
-		xs := rt.xstreams
-		rt.mu.Unlock()
-		k := len(xs)
-		start := rt.rr.Load().Next()
-		per := (len(units) + k - 1) / k
-		for i := 0; i*per < len(units); i++ {
-			lo := i * per
-			hi := min(lo+per, len(units))
-			xs[(start+i)%k].sched.PushBatch(units[lo:hi])
-		}
+		rt.idle.Wake()
+		return
 	}
-	if rt.parker != nil {
-		rt.parker.Wake()
+	rt.mu.Lock()
+	xs := rt.xstreams
+	rt.mu.Unlock()
+	k := len(xs)
+	start := rt.rr.Load().Next()
+	per := (len(units) + k - 1) / k
+	for i := 0; i*per < len(units); i++ {
+		lo := i * per
+		hi := min(lo+per, len(units))
+		x := xs[(start+i)%k]
+		x.sched.PushBatch(units[lo:hi])
+		x.idle.Wake()
 	}
 }
 
@@ -466,6 +457,7 @@ func (rt *Runtime) PopScheduler(es int) sched.Policy {
 	for u := p.Pop(); u != nil; u = p.Pop() {
 		x.sched.Push(u)
 	}
+	x.idle.Wake()
 	return p
 }
 
@@ -477,9 +469,11 @@ func (rt *Runtime) Finalize() {
 		return
 	}
 	rt.shutdown.Store(true)
-	if rt.parker != nil {
-		rt.parker.Close()
+	rt.mu.Lock()
+	for _, x := range rt.xstreams {
+		x.idle.Close()
 	}
+	rt.mu.Unlock()
 	rt.primary.Detach()
 	rt.wg.Wait()
 }
@@ -490,9 +484,7 @@ func (x *XStream) loop(adopted bool) {
 	x.exec.PinIfRequested()
 	requeue := func(t *ult.ULT) {
 		sched.Requeue(x.sched, t)
-		if x.rt.parker != nil {
-			x.rt.parker.Wake()
-		}
+		x.idle.Wake()
 	}
 	if adopted {
 		// Conceptually the primary ULT was dispatched by Init; wait
@@ -515,30 +507,12 @@ func (x *XStream) loop(adopted bool) {
 			}
 			continue
 		}
-		// Capture the wake epoch before the pop: a push that lands
-		// after an empty pop advances it, so ParkIf cannot sleep
-		// through work (no lost wakeups).
-		var epoch uint64
-		if x.rt.parker != nil {
-			epoch = x.rt.parker.Epoch()
-		}
 		u := x.sched.Pop()
 		if u == nil {
 			if x.rt.shutdown.Load() {
 				return
 			}
-			if x.rt.parker != nil {
-				// Passive idle policy: about to sleep until work is
-				// pushed, a known-genuine idle transition.
-				bat.IdleNow()
-				x.rt.parker.ParkIf(epoch)
-				continue
-			}
-			// One idle interval per episode (sustained empty polling to
-			// next dispatch), so an idle stream cannot flood its ring
-			// with per-poll events.
-			bat.Idle()
-			x.exec.NoteIdle()
+			x.exec.Idle(x.idle, bat)
 			continue
 		}
 		kind := trace.KindDispatch
@@ -552,18 +526,22 @@ func (x *XStream) loop(adopted bool) {
 }
 
 // SchedStats sums the pool counters across the runtime's schedulers —
-// one shared pool or every stream's private stack.
+// one shared pool or every stream's private stack — and the streams'
+// parks.
 func (rt *Runtime) SchedStats() queue.Counts {
-	if rt.shared != nil {
-		return rt.shared.Counts()
-	}
 	rt.mu.Lock()
 	xs := make([]*XStream, len(rt.xstreams))
 	copy(xs, rt.xstreams)
 	rt.mu.Unlock()
 	var c queue.Counts
+	if rt.shared != nil {
+		c = rt.shared.Counts()
+	}
 	for _, x := range xs {
-		c = c.Plus(x.sched.Counts())
+		if rt.shared == nil {
+			c = c.Plus(x.sched.Counts())
+		}
+		c.Parks += x.exec.Stats().Parks.Load()
 	}
 	return c
 }

@@ -76,6 +76,9 @@ type Processor struct {
 	rt   *Runtime
 	exec *ult.Executor
 	q    sched.Policy
+	// idle is the wake domain of the processor's own scheduler goroutine
+	// (nobody parks on processor 0's: the master drives it).
+	idle ult.Idler
 	// bat batches the processor's flight-recorder dispatch events:
 	// written only by the goroutine driving the processor (its
 	// scheduler goroutine, or the master for processor 0).
@@ -84,6 +87,20 @@ type Processor struct {
 
 // ID returns the processor's rank.
 func (p *Processor) ID() int { return p.id }
+
+// push inserts a ready unit into the processor's queue and wakes its
+// scheduler if parked. Every insertion but the yield requeue goes through
+// here or pushAll; the requeue is the scheduler's own, so it is awake.
+func (p *Processor) push(u ult.Unit) {
+	p.q.Push(u)
+	p.idle.Wake()
+}
+
+// pushAll is push for a batch: one insertion, one wake.
+func (p *Processor) pushAll(us []ult.Unit) {
+	sched.PushAll(p.q, us)
+	p.idle.Wake()
+}
 
 // QueueStats exposes the processor queue's counters when the configured
 // policy keeps them (FIFO and LIFO do); other policies return nil.
@@ -217,7 +234,7 @@ func (rt *Runtime) SyncSend(proc int, fn func(*Proc)) {
 	p := rt.procs[proc]
 	m := ult.NewTasklet(func() { fn(&Proc{p: p}) })
 	ult.MarkReady(m)
-	p.q.Push(m)
+	p.push(m)
 }
 
 // CthCreate creates a ULT in processor 0's queue — from the master, the
@@ -231,7 +248,7 @@ func (p *Processor) cthCreate(fn func(*CthCtx)) *Cth {
 	c.u = ult.NewWith(cthBody, c)
 	c.gen = c.u.Gen()
 	ult.MarkReady(c.u)
-	p.q.Push(c.u)
+	p.push(c.u)
 	return c
 }
 
@@ -251,7 +268,7 @@ func (rt *Runtime) SyncSendBatch(proc int, fns []func(*Proc)) {
 		ult.MarkReady(m)
 		units[i] = m
 	}
-	sched.PushAll(p.q, units)
+	p.pushAll(units)
 }
 
 // CthCreateBulk creates one local ULT per body in processor 0's queue
@@ -272,7 +289,7 @@ func (p *Processor) cthCreateBulk(fns []func(*CthCtx)) []*Cth {
 		cs[i] = c
 		units[i] = c.u
 	}
-	sched.PushAll(p.q, units)
+	p.pushAll(units)
 	return cs
 }
 
@@ -348,6 +365,9 @@ func (rt *Runtime) Finalize() {
 		return
 	}
 	rt.shutdown.Store(true)
+	for _, p := range rt.procs {
+		p.idle.Close()
+	}
 	rt.wg.Wait()
 	rt.masterRing.Close()
 	rt.procs[0].bat.Close()
@@ -389,8 +409,7 @@ func (p *Processor) loop() {
 		if p.rt.shutdown.Load() {
 			return
 		}
-		p.bat.Idle()
-		p.exec.NoteIdle()
+		p.exec.Idle(&p.idle, p.bat)
 	}
 }
 
@@ -399,6 +418,7 @@ func (rt *Runtime) SchedStats() queue.Counts {
 	var c queue.Counts
 	for _, p := range rt.procs {
 		c = c.Plus(sched.CountsOf(p.q))
+		c.Parks += p.exec.Stats().Parks.Load()
 	}
 	return c
 }
@@ -437,9 +457,9 @@ func (cc *CthCtx) Join(target *Cth) {
 		}
 		return
 	}
-	q := cc.p.q
+	p := cc.p
 	for !target.u.Done() {
-		if ult.ParkJoinStep(cc.self, target.u, func(j *ult.ULT, _ *ult.Executor) { q.Push(j) }) {
+		if ult.ParkJoinStep(cc.self, target.u, func(j *ult.ULT, _ *ult.Executor) { p.push(j) }) {
 			break
 		}
 		cc.self.Yield()
@@ -457,9 +477,9 @@ func (cc *CthCtx) Join(target *Cth) {
 // serving layer's pump already accommodates by yielding while requests
 // are in flight.
 func (cc *CthCtx) IOPark() (park func(), unpark func()) {
-	self, q := cc.self, cc.p.q
+	self, p := cc.self, cc.p
 	return func() { self.Suspend() }, func() {
-		ult.ResumeAndRequeue(self, func(j *ult.ULT) { q.Push(j) })
+		ult.ResumeAndRequeue(self, func(j *ult.ULT) { p.push(j) })
 	}
 }
 

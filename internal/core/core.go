@@ -393,8 +393,8 @@ type SchedStatsReporter interface {
 }
 
 // SchedStats reports the backend's aggregated ready-pool counters —
-// pushes, pops, steals, contention, empty polls — or zeros when the
-// backend does not keep them.
+// pushes, pops, steals, contention, empty polls, executor parks — or
+// zeros when the backend does not keep them.
 func (r *Runtime) SchedStats() queue.Counts {
 	if sr, ok := r.b.(SchedStatsReporter); ok {
 		return sr.SchedStats()

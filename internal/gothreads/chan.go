@@ -44,7 +44,7 @@ func (c *Chan) wake(u *ult.ULT) {
 			}
 			runtime.Gosched()
 		}
-		c.rt.shared.Push(u)
+		c.rt.push(u)
 	}()
 }
 

@@ -33,6 +33,7 @@ import (
 type Runtime struct {
 	threads  []*thread
 	shared   *queue.Shared
+	idle     ult.Idler   // the global queue's wake domain
 	done     chan uint64 // out-of-order completion channel
 	shutdown atomic.Bool
 	wg       sync.WaitGroup
@@ -188,8 +189,15 @@ func (rt *Runtime) spawn(fn func(*Context), notify bool) *G {
 		g.u.SetWaiter(&g.selfFree)
 	}
 	ult.MarkReady(g.u)
-	rt.shared.Push(g.u)
+	rt.push(g.u)
 	return g
+}
+
+// push inserts a ready unit into the global queue and wakes the scheduler
+// threads parked on it. Every insertion goes through here or GoBulk.
+func (rt *Runtime) push(u ult.Unit) {
+	rt.shared.Push(u)
+	rt.idle.Wake()
 }
 
 // GoBulk spawns one goroutine per body with a single multi-ticket
@@ -209,6 +217,7 @@ func (rt *Runtime) GoBulk(fns []func(*Context)) []*G {
 		units[i] = g.u
 	}
 	rt.shared.PushBatch(units)
+	rt.idle.Wake()
 	return gs
 }
 
@@ -247,6 +256,7 @@ func (rt *Runtime) Finalize() {
 		return
 	}
 	rt.shutdown.Store(true)
+	rt.idle.Close()
 	rt.wg.Wait()
 }
 
@@ -263,8 +273,7 @@ func (t *thread) loop() {
 			if t.rt.shutdown.Load() {
 				return
 			}
-			bat.Idle()
-			t.exec.NoteIdle()
+			t.exec.Idle(&t.rt.idle, bat)
 			continue
 		}
 		g, ok := u.(*ult.ULT)
@@ -275,13 +284,19 @@ func (t *thread) loop() {
 		res := t.exec.Dispatch(g)
 		bat.Note(trace.KindDispatch, 1)
 		if res == ult.DispatchYielded {
-			t.rt.shared.Push(g)
+			t.rt.push(g)
 		}
 	}
 }
 
 // SchedStats snapshots the global queue's counters.
-func (rt *Runtime) SchedStats() queue.Counts { return rt.shared.Stats().Snapshot() }
+func (rt *Runtime) SchedStats() queue.Counts {
+	c := rt.shared.Stats().Snapshot()
+	for _, t := range rt.threads {
+		c.Parks += t.exec.Stats().Parks.Load()
+	}
+	return c
+}
 
 // --- Context ---
 
@@ -307,7 +322,7 @@ func (c *Context) ThreadID() int { return c.self.Owner().ID() }
 func (c *Context) IOPark() (park func(), unpark func()) {
 	self, rt := c.self, c.rt
 	return func() { self.Suspend() }, func() {
-		ult.ResumeAndRequeue(self, func(j *ult.ULT) { rt.shared.Push(j) })
+		ult.ResumeAndRequeue(self, func(j *ult.ULT) { rt.push(j) })
 	}
 }
 
@@ -340,7 +355,7 @@ func (c *Context) Join(g *G) {
 	}
 	self := c.self
 	rt := c.rt
-	if ult.ParkJoinStep(self, g.u, func(j *ult.ULT, _ *ult.Executor) { rt.shared.Push(j) }) {
+	if ult.ParkJoinStep(self, g.u, func(j *ult.ULT, _ *ult.Executor) { rt.push(j) }) {
 		g.free()
 		return
 	}
@@ -360,7 +375,7 @@ func (c *Context) Join(g *G) {
 			}
 			runtime.Gosched()
 		}
-		rt.shared.Push(self)
+		rt.push(self)
 	}()
 	self.Suspend()
 	g.free()

@@ -65,7 +65,10 @@ type Runtime struct {
 	// a foreign goroutine cannot push into them; the MPMC injection queue
 	// is the one container every worker may push to and polls between its
 	// own deque and stealing.
-	inject   *queue.Shared
+	inject *queue.Shared
+	// idle is the one wake domain of the runtime: with stealing, a push
+	// into any deque (or inject) can feed any worker.
+	idle     ult.Idler
 	shutdown atomic.Bool
 	wg       sync.WaitGroup
 	finished atomic.Bool
@@ -89,6 +92,14 @@ type Worker struct {
 
 // ID returns the worker's rank.
 func (w *Worker) ID() int { return w.exec.ID() }
+
+// push inserts a ready unit at the bottom of the worker's deque and wakes
+// parked workers (thieves included). Owner-side only: the caller holds
+// this worker's control token.
+func (w *Worker) push(u ult.Unit) {
+	w.dq.PushBottom(u)
+	w.rt.idle.Wake()
+}
 
 // Stats exposes the worker's executor counters.
 func (w *Worker) Stats() *ult.ExecStats { return w.exec.Stats() }
@@ -169,7 +180,7 @@ func Init(nworkers int, policy Policy) *Runtime {
 		// whichever worker the target finished on, as work stealing
 		// already allows (§VI).
 		ult.ResumeAndRequeue(rt.primary, func(j *ult.ULT) {
-			rt.workers[e.ID()].dq.PushBottom(j)
+			rt.workers[e.ID()].push(j)
 		})
 	}}
 	for i, w := range rt.workers {
@@ -194,6 +205,7 @@ func (rt *Runtime) SchedStats() queue.Counts {
 	var c queue.Counts
 	for _, w := range rt.workers {
 		c = c.Plus(w.dq.Stats().Snapshot())
+		c.Parks += w.exec.Stats().Parks.Load()
 	}
 	return c.Plus(rt.inject.Stats().Snapshot())
 }
@@ -225,8 +237,7 @@ func (rt *Runtime) createFrom(creator *ult.ULT, fn func(*Context)) *Thread {
 	}
 	// Help-first: enqueue on the creating worker's deque.
 	ult.MarkReady(th.u)
-	w := rt.workerOf(creator)
-	w.dq.PushBottom(th.u)
+	rt.workerOf(creator).push(th.u)
 	return th
 }
 
@@ -254,6 +265,7 @@ func (rt *Runtime) CreateBulk(fns []func(*Context)) []*Thread {
 		units[i] = th.u
 	}
 	rt.workerOf(rt.primary).dq.PushBottomBatch(units)
+	rt.idle.Wake()
 	return ths
 }
 
@@ -310,13 +322,14 @@ func (rt *Runtime) Finalize() {
 		return
 	}
 	rt.shutdown.Store(true)
+	rt.idle.Close()
 	rt.primary.Detach()
 	rt.wg.Wait()
 }
 
 // loop is one worker's scheduling cycle: serve the local deque in arrival
-// order, then try to steal the oldest unit from a random victim (a single
-// CAS per attempt), then idle.
+// order, then try to steal the oldest unit from another worker (a single
+// CAS per attempt, random first victim), then idle.
 //
 // Service is FIFO rather than owner-LIFO: a ULT that polls a join by
 // yielding re-enters the deque behind its target, so the target always
@@ -325,7 +338,7 @@ func (rt *Runtime) Finalize() {
 // from the work-first hand-off, which bypasses the deque entirely.)
 func (w *Worker) loop(adopted bool) {
 	defer w.rt.wg.Done()
-	requeue := func(t *ult.ULT) { w.dq.PushBottom(t) }
+	requeue := func(t *ult.ULT) { w.push(t) }
 	if adopted {
 		if t, res := w.exec.AwaitHandback(); res == ult.DispatchYielded {
 			requeue(t)
@@ -370,8 +383,7 @@ func (w *Worker) loop(adopted bool) {
 			if w.rt.shutdown.Load() {
 				return
 			}
-			w.bat.Idle()
-			w.exec.NoteIdle()
+			w.exec.Idle(&w.rt.idle, w.bat)
 			continue
 		}
 		w.runUnit(u)
@@ -390,20 +402,24 @@ func (w *Worker) runUnit(u ult.Unit) {
 	res := w.exec.Dispatch(t)
 	w.bat.Note(trace.KindDispatch, 1)
 	if res == ult.DispatchYielded {
-		w.dq.PushBottom(t)
+		w.push(t)
 	}
 }
 
-// steal takes the oldest unit from a random victim's deque. A nil from
-// StealTop means empty or a lost CAS race; either way the next victim is
-// tried, and the loop's idle path retries the whole cycle.
+// steal takes the oldest unit from the first non-empty victim of a sweep
+// over every other worker, started at a random rank. The sweep is
+// complete on purpose: a worker parks after steal comes up empty, and
+// "nothing to run since the epoch was captured" only holds if every deque
+// was looked at. A nil from StealTop means empty or a lost CAS race (the
+// winner has the unit); either way the next victim is tried.
 func (w *Worker) steal() ult.Unit {
 	n := len(w.rt.workers)
 	if n == 1 {
 		return nil
 	}
-	for attempt := 0; attempt < n-1; attempt++ {
-		victim := w.rt.workers[w.rng.Intn(n)]
+	start := w.rng.Intn(n)
+	for i := 0; i < n; i++ {
+		victim := w.rt.workers[(start+i)%n]
 		if victim == w {
 			continue
 		}
@@ -438,7 +454,7 @@ func (c *Context) Join(th *Thread) {
 	rt := c.rt
 	for !th.u.Done() {
 		if ult.ParkJoinStep(c.self, th.u, func(j *ult.ULT, e *ult.Executor) {
-			rt.workers[e.ID()].dq.PushBottom(j)
+			rt.workers[e.ID()].push(j)
 		}) {
 			break
 		}
@@ -462,6 +478,9 @@ func (c *Context) WorkerID() int { return c.self.Owner().ID() }
 func (c *Context) IOPark() (park func(), unpark func()) {
 	self, rt := c.self, c.rt
 	return func() { self.Suspend() }, func() {
-		ult.ResumeAndRequeue(self, func(j *ult.ULT) { rt.inject.Push(j) })
+		ult.ResumeAndRequeue(self, func(j *ult.ULT) {
+			rt.inject.Push(j)
+			rt.idle.Wake()
+		})
 	}
 }

@@ -98,12 +98,27 @@ type Runtime struct {
 
 // Shepherd owns one work-unit pool served by its workers. The pool's
 // ordering is the configured scheduling policy (FIFO unless Config.Policy
-// overrides it).
+// overrides it); idle is the wake domain of the workers serving it.
 type Shepherd struct {
 	id      int
 	rt      *Runtime
 	pool    sched.Policy
+	idle    ult.Idler
 	workers []*Worker
+}
+
+// push inserts a ready unit into the shepherd's pool and wakes its parked
+// workers. Every single-unit insertion goes through here.
+func (s *Shepherd) push(u ult.Unit) {
+	s.pool.Push(u)
+	s.idle.Wake()
+}
+
+// requeue reinserts a yielded unit (sched.Requeue) and wakes the pool's
+// other workers.
+func (s *Shepherd) requeue(t *ult.ULT) {
+	sched.Requeue(s.pool, t)
+	s.idle.Wake()
 }
 
 // ID returns the shepherd's rank.
@@ -258,7 +273,7 @@ func (rt *Runtime) ForkTo(fn func(*Context), shepherd int) *Thread {
 	th.u = ult.NewWith(qtBody, th)
 	th.gen = th.u.Gen()
 	ult.MarkReady(th.u)
-	s.pool.Push(th.u)
+	s.push(th.u)
 	return th
 }
 
@@ -288,6 +303,7 @@ func (rt *Runtime) ForkBulk(fns []func(*Context)) []*Thread {
 			units = append(units, th.u)
 		}
 		sched.PushAll(s.pool, units)
+		s.idle.Wake()
 	}
 	return ths
 }
@@ -319,6 +335,9 @@ func (rt *Runtime) Finalize() {
 		return
 	}
 	rt.shutdown.Store(true)
+	for _, s := range rt.shepherds {
+		s.idle.Close()
+	}
 	rt.wg.Wait()
 }
 
@@ -335,7 +354,7 @@ func (w *Worker) loop() {
 	for {
 		if res, h, ok := w.exec.DispatchHint(); ok {
 			if res == ult.DispatchYielded {
-				sched.Requeue(w.shep.pool, h)
+				w.shep.requeue(h)
 			}
 			continue
 		}
@@ -344,8 +363,7 @@ func (w *Worker) loop() {
 			if rt.shutdown.Load() {
 				return
 			}
-			bat.Idle()
-			w.exec.NoteIdle()
+			w.exec.Idle(&w.shep.idle, bat)
 			continue
 		}
 		t, ok := u.(*ult.ULT)
@@ -356,7 +374,7 @@ func (w *Worker) loop() {
 		res := w.exec.Dispatch(t)
 		bat.Note(trace.KindDispatch, 1)
 		if res == ult.DispatchYielded {
-			sched.Requeue(w.shep.pool, t)
+			w.shep.requeue(t)
 		}
 	}
 }
@@ -366,6 +384,9 @@ func (rt *Runtime) SchedStats() queue.Counts {
 	var c queue.Counts
 	for _, s := range rt.shepherds {
 		c = c.Plus(sched.CountsOf(s.pool))
+		for _, w := range s.workers {
+			c.Parks += w.exec.Stats().Parks.Load()
+		}
 	}
 	return c
 }
@@ -384,9 +405,9 @@ func (c *Context) Shepherd() int { return c.shep.id }
 // into its own shepherd's queue (sched.Policy pushes are MPMC-safe),
 // preserving fork_to placement across the wait.
 func (c *Context) IOPark() (park func(), unpark func()) {
-	self, pool := c.self, c.shep.pool
+	self, shep := c.self, c.shep
 	return func() { self.Suspend() }, func() {
-		ult.ResumeAndRequeue(self, func(j *ult.ULT) { pool.Push(j) })
+		ult.ResumeAndRequeue(self, func(j *ult.ULT) { shep.push(j) })
 	}
 }
 
@@ -410,13 +431,13 @@ func (c *Context) ForkTo(fn func(*Context), shepherd int) *Thread {
 func (c *Context) ReadFF(th *Thread) uint64 {
 	if th.claim.CompareAndSwap(false, true) {
 		// We own the descriptor: park in its waiter slot, then free it.
-		pool := c.shep.pool
+		shep := c.shep
 		for {
 			if v, ok := c.rt.febTable.TryReadFF(th.ret); ok && th.u.Done() {
 				th.free()
 				return v
 			}
-			if !ult.ParkJoinStep(c.self, th.u, func(j *ult.ULT, _ *ult.Executor) { pool.Push(j) }) {
+			if !ult.ParkJoinStep(c.self, th.u, func(j *ult.ULT, _ *ult.Executor) { shep.push(j) }) {
 				self := c.self
 				self.Yield()
 			}

@@ -83,6 +83,10 @@ type Counts struct {
 	Contended uint64 `json:"contended"`
 	// EmptyPops counts removal attempts that found the pool empty.
 	EmptyPops uint64 `json:"empty_pops"`
+	// Parks counts executors going to sleep after their spin budget of
+	// empty polls (ult.ExecStats.Parks). Pools do not know it: Snapshot
+	// leaves it zero and each runtime's SchedStats adds its executors'.
+	Parks uint64 `json:"parks"`
 }
 
 // Snapshot reads the counters into a value. Each field is read with one
@@ -108,6 +112,7 @@ func (c Counts) Plus(o Counts) Counts {
 		Steals:    c.Steals + o.Steals,
 		Contended: c.Contended + o.Contended,
 		EmptyPops: c.EmptyPops + o.EmptyPops,
+		Parks:     c.Parks + o.Parks,
 	}
 }
 

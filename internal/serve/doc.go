@@ -32,6 +32,20 @@
 // stops, every shard runs down its queues (bounded by
 // Options.DrainTimeout), and every accepted Future resolves.
 //
+// # Idle executors
+//
+// A shard's executors do not busy-wait. Every backend's dispatch loop
+// shares one idle policy (ult.Executor.Idle): an executor that finds
+// nothing to run yields its OS thread for a fixed budget of 64
+// consecutive empty polls, then parks on its pool's ult.Idler until
+// something is pushed there. Whatever makes a unit runnable wakes the
+// pool's sleepers — a launch from the pump, a child created or a yield
+// requeued by a running unit, a join or aio completion resuming a
+// parked unit, a push a thief could steal — so an idle Server costs no
+// CPU and a request never queues behind a spinner. There is no option
+// to set. (The pump is a different matter: while requests are in
+// flight it polls the backend's Yield, see pump.)
+//
 // # Adaptive pool
 //
 // The pool reshapes itself around the offered load; three independent
@@ -109,8 +123,9 @@
 //     mean) — the histogram is what /metrics exports, since quantiles
 //     over a window cannot be aggregated across scrapes.
 //   - Sched carries the shard queue's cumulative queue.Counts (pushes,
-//     pops, steals, contended CAS retries, empty polls), surfaced so
-//     scheduler-level contention is visible next to request-level load.
+//     pops, steals, contended CAS retries, empty polls, executor parks),
+//     surfaced so scheduler-level contention is visible next to
+//     request-level load.
 //
 // WriteProm renders any set of View snapshots as a Prometheus text-0.0.4
 // page (families contiguous across backends, as the format requires);

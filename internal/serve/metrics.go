@@ -184,9 +184,9 @@ type Metrics struct {
 	// latency, the _sum companion to Hist.
 	LatencySum time.Duration
 	// Sched snapshots the shard runtime's scheduler pool counters —
-	// pushes, pops, steals, contended operations, empty polls — summed
-	// across the backend's executors (and across shards in the
-	// aggregate view). Zero-valued on backends without instrumented
-	// pools.
+	// pushes, pops, steals, contended operations, empty polls — and its
+	// executors' parks, summed across the backend's executors (and
+	// across shards in the aggregate view). Zero-valued on backends
+	// without instrumented pools.
 	Sched queue.Counts
 }

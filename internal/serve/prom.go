@@ -80,6 +80,7 @@ func WriteProm(w io.Writer, views ...View) (int64, error) {
 		{"lwt_sched_steals_total", "Work units stolen from another executor's pool.", func(m Metrics) uint64 { return m.Sched.Steals }},
 		{"lwt_sched_contended_total", "Pool operations that hit contention.", func(m Metrics) uint64 { return m.Sched.Contended }},
 		{"lwt_sched_empty_pops_total", "Pool polls that found nothing to run.", func(m Metrics) uint64 { return m.Sched.EmptyPops }},
+		{"lwt_sched_parks_total", "Times an executor spent its spin budget of empty polls and went to sleep until the next push.", func(m Metrics) uint64 { return m.Sched.Parks }},
 	}
 
 	shardLabels := func(m Metrics) []string {

@@ -45,6 +45,7 @@ func TestWritePromExposition(t *testing.T) {
 		"lwt_serve_steals_total",
 		"lwt_serve_queue_depth", "lwt_serve_inflight", "lwt_serve_ioparked",
 		"lwt_serve_latency_seconds", "lwt_sched_pushes_total", "lwt_sched_steals_total",
+		"lwt_sched_parks_total",
 		"lwt_serve_expired_total",
 	} {
 		if !strings.Contains(page, "# TYPE "+fam+" ") {

@@ -2,7 +2,6 @@ package ult
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -43,6 +42,12 @@ type Executor struct {
 	// heavy.
 	lockOSThread bool
 
+	// empties counts consecutive empty polls since the last dispatch and
+	// epoch is the idler generation captured once the spin budget is
+	// spent (see Idle); touched only by the scheduling loop's goroutine.
+	empties uint32
+	epoch   uint64
+
 	stats ExecStats
 }
 
@@ -64,6 +69,9 @@ type ExecStats struct {
 	HintHits atomic.Uint64
 	// IdleSpins counts scheduler iterations that found no work.
 	IdleSpins atomic.Uint64
+	// Parks counts the times the executor exhausted its spin budget and
+	// went to sleep on its pool's Idler.
+	Parks atomic.Uint64
 	// Steals counts successful work steals performed by this executor.
 	Steals atomic.Uint64
 }
@@ -162,6 +170,7 @@ func (e *Executor) Dispatch(t *ULT) DispatchResult {
 // token to the already-bound goroutine parked in Yield/Suspend.
 func (e *Executor) dispatchClaimed(t *ULT) DispatchResult {
 	t.owner = e
+	e.empties = 0
 	e.stats.Dispatches.Add(1)
 	if !t.bound {
 		t.bound = true
@@ -231,6 +240,7 @@ func (e *Executor) RunTasklet(t *Tasklet) bool {
 	if !t.claim() {
 		return false
 	}
+	e.empties = 0
 	t.run(e)
 	e.stats.TaskletRuns.Add(1)
 	return true
@@ -255,80 +265,4 @@ func (e *Executor) RunUnit(u Unit, requeue func(*ULT)) DispatchResult {
 	default:
 		panic("ult: unknown unit type")
 	}
-}
-
-// NoteIdle records an empty scheduler iteration and yields the underlying
-// OS thread so sibling executors can make progress.
-func (e *Executor) NoteIdle() {
-	e.stats.IdleSpins.Add(1)
-	runtime.Gosched()
-}
-
-// Parker blocks idle executors until work arrives, replacing busy spinning
-// for runtimes whose wait policy is passive (OMP_WAIT_POLICY=passive in
-// §IX-B). The zero value is ready to use.
-type Parker struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	seq    uint64
-	closed bool
-}
-
-// NewParker returns an initialized Parker.
-func NewParker() *Parker {
-	p := &Parker{}
-	p.cond = sync.NewCond(&p.mu)
-	return p
-}
-
-// Wake unblocks all currently parked executors.
-func (p *Parker) Wake() {
-	p.mu.Lock()
-	p.seq++
-	p.mu.Unlock()
-	p.cond.Broadcast()
-}
-
-// Close permanently wakes all waiters (shutdown).
-func (p *Parker) Close() {
-	p.mu.Lock()
-	p.closed = true
-	p.mu.Unlock()
-	p.cond.Broadcast()
-}
-
-// Park blocks until the next Wake or Close after the call. It returns
-// false if the parker is closed.
-func (p *Parker) Park() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return false
-	}
-	seq := p.seq
-	for seq == p.seq && !p.closed {
-		p.cond.Wait()
-	}
-	return !p.closed
-}
-
-// Epoch returns the current wake generation. Capture it *before* checking
-// for work, then ParkIf: a Wake that lands between the check and the park
-// advances the generation and makes ParkIf return immediately, closing
-// the lost-wakeup window.
-func (p *Parker) Epoch() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.seq
-}
-
-// ParkIf blocks until a Wake newer than epoch (or Close). It returns
-// false if the parker is closed.
-func (p *Parker) ParkIf(epoch uint64) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for p.seq == epoch && !p.closed {
-		p.cond.Wait()
-	}
-	return !p.closed
 }

@@ -477,43 +477,6 @@ func TestDetachPanicsWhenNotRunning(t *testing.T) {
 	p.Detach()
 }
 
-func TestParkerWake(t *testing.T) {
-	p := NewParker()
-	released := make(chan bool, 1)
-	go func() { released <- p.Park() }()
-	// Give the goroutine time to park, then wake it.
-	time.Sleep(10 * time.Millisecond)
-	p.Wake()
-	select {
-	case ok := <-released:
-		if !ok {
-			t.Fatal("Park returned false on Wake")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Park never released")
-	}
-}
-
-func TestParkerClose(t *testing.T) {
-	p := NewParker()
-	released := make(chan bool, 1)
-	go func() { released <- p.Park() }()
-	time.Sleep(10 * time.Millisecond)
-	p.Close()
-	select {
-	case ok := <-released:
-		if ok {
-			t.Fatal("Park returned true on Close")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Park never released on Close")
-	}
-	// Parking after close returns immediately.
-	if p.Park() {
-		t.Fatal("Park after Close returned true")
-	}
-}
-
 func TestConcurrentExecutorsIndependent(t *testing.T) {
 	const n = 8
 	var wg sync.WaitGroup
@@ -565,14 +528,5 @@ func TestDispatchCountsStats(t *testing.T) {
 	if s.Yields.Load() != 1 || s.Suspensions.Load() != 1 || s.Completions.Load() != 1 {
 		t.Fatalf("yields/suspends/completions = %d/%d/%d, want 1/1/1",
 			s.Yields.Load(), s.Suspensions.Load(), s.Completions.Load())
-	}
-}
-
-func TestNoteIdleCounts(t *testing.T) {
-	e := NewExecutor(0)
-	e.NoteIdle()
-	e.NoteIdle()
-	if got := e.Stats().IdleSpins.Load(); got != 2 {
-		t.Fatalf("idle spins = %d, want 2", got)
 	}
 }
