@@ -350,6 +350,15 @@ func (rt *Runtime) pushBulk(units []ult.Unit) {
 // called from the goroutine that called Init.
 func (rt *Runtime) Yield() { rt.primary.Yield() }
 
+// MainPark builds the primary ULT's idle park (core.Runtime.MainPark):
+// park suspends the primary, leaving ES 0 to its other units (or to its
+// own idle park), and unpark — callable from any goroutine — resumes it
+// into ES 0's pool through the push-and-wake path every resume takes. It
+// is the wait-for-anything form of parkPrimary's wait-for-one-unit join.
+func (rt *Runtime) MainPark() (park, unpark func()) {
+	return ult.MainPark(rt.primary, func(j *ult.ULT) { rt.pushTo(j, 0) })
+}
+
 // parkPrimary performs one wait step of a main-thread join: the primary
 // parks in u's single-waiter slot and is resumed directly by the
 // finishing unit (re-entering ES 0's pool) — no polling in the common

@@ -76,8 +76,8 @@ type Processor struct {
 	rt   *Runtime
 	exec *ult.Executor
 	q    sched.Policy
-	// idle is the wake domain of the processor's own scheduler goroutine
-	// (nobody parks on processor 0's: the master drives it).
+	// idle is the wake domain of the processor's scheduler: its own
+	// goroutine, or for processor 0 the master inside MainPark.
 	idle ult.Idler
 	// bat batches the processor's flight-recorder dispatch events:
 	// written only by the goroutine driving the processor (its
@@ -317,6 +317,41 @@ func (rt *Runtime) Yield() bool {
 	return ran
 }
 
+// MainPark builds the master's idle park (core.Runtime.MainPark). Nobody
+// else drives processor 0, so park runs its queue until it is empty and
+// only then sleeps, on processor 0's idler: any push into that queue
+// moves the epoch and the master runs the unit, and unpark — callable
+// from any goroutine — sets the token and moves the epoch too. park
+// returns once it finds the token; the epoch is captured before the
+// final token check and queue poll, so neither a push nor an unpark can
+// slip between them and the sleep.
+func (rt *Runtime) MainPark() (park, unpark func()) {
+	p := rt.procs[0]
+	var kicked atomic.Bool
+	park = func() {
+		for {
+			if kicked.CompareAndSwap(true, false) {
+				return
+			}
+			if p.runOne() {
+				continue
+			}
+			epoch := p.idle.Epoch()
+			if kicked.CompareAndSwap(true, false) {
+				return
+			}
+			if !p.runOne() {
+				p.idle.Park(epoch)
+			}
+		}
+	}
+	unpark = func() {
+		kicked.Store(true)
+		p.idle.Wake()
+	}
+	return park, unpark
+}
+
 // SyncTime reports the cumulative wall time the master has spent inside
 // Barrier and Yield. Comparing it against total execution time reproduces
 // the paper's observation that Converse spends 70–75 % of two-step
@@ -473,9 +508,8 @@ func (cc *CthCtx) Join(target *Cth) {
 // (CthAwaken; SyncSend already proves foreign pushes into processor
 // queues are safe). ULTs never migrate between processors, so placement
 // is preserved by construction. On processor 0 the resumed unit runs
-// only when the master next drives Yield — the return-mode caveat the
-// serving layer's pump already accommodates by yielding while requests
-// are in flight.
+// only when the master next drives the processor — a Yield, or the
+// queue drain inside MainPark, which the push's wake rouses.
 func (cc *CthCtx) IOPark() (park func(), unpark func()) {
 	self, p := cc.self, cc.p
 	return func() { self.Suspend() }, func() {

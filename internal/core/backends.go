@@ -179,6 +179,10 @@ func (b *argoBackend) TaskletCreateBulk(fns []func()) []Handle {
 
 func (b *argoBackend) Yield() { b.rt.Yield() }
 
+// MainPark implements MainParker: the adopted primary suspends and is
+// resumed into ES 0's pool.
+func (b *argoBackend) MainPark() (park, unpark func()) { return b.rt.MainPark() }
+
 func (b *argoBackend) Join(h Handle) {
 	// Argobots joins are join-and-free (ABT_thread_free / ABT_task_free).
 	// The joining claim elects the one caller that performs it; losers
@@ -398,6 +402,10 @@ func (b *qtBackend) TaskletCreateBulk(fns []func()) []Handle {
 // main thread lives outside the runtime.
 func (b *qtBackend) Yield() { runtime.Gosched() }
 
+// MainPark implements MainParker with a channel wait: the shepherds'
+// workers run on their own.
+func (b *qtBackend) MainPark() (park, unpark func()) { return chanPark() }
+
 func (b *qtBackend) Join(h Handle) {
 	if v, ok := h.(*qtULT); ok {
 		b.rt.ReadFF(v.th) // qthread_readFF on the return-value word
@@ -547,6 +555,10 @@ func (b *mtBackend) TaskletCreateBulk(fns []func()) []Handle {
 }
 
 func (b *mtBackend) Yield() { b.rt.Yield() }
+
+// MainPark implements MainParker: the migratable main flow suspends and
+// is resumed through the injection queue, onto whichever worker pops it.
+func (b *mtBackend) MainPark() (park, unpark func()) { return b.rt.MainPark() }
 
 func (b *mtBackend) Join(h Handle) {
 	if v, ok := h.(*mtULT); ok {
@@ -746,6 +758,10 @@ func (b *cvBackend) TaskletCreateBulk(fns []func()) []Handle {
 
 func (b *cvBackend) Yield() { b.rt.Yield() }
 
+// MainPark implements MainParker: the master drives processor 0 until
+// its queue is empty, then sleeps on processor 0's idler.
+func (b *cvBackend) MainPark() (park, unpark func()) { return b.rt.MainPark() }
+
 // Join drives the local scheduler until the unit completes: the master
 // must keep processing its own queue (return mode) while remote
 // processors drain theirs. Completed ULT handles are freed (CthFree) so
@@ -911,6 +927,10 @@ func (b *goBackend) TaskletCreateBulk(fns []func()) []Handle {
 // Yield is absent from the Go model (Table I); the unified layer degrades
 // it to an OS-level scheduling hint.
 func (b *goBackend) Yield() { runtime.Gosched() }
+
+// MainPark implements MainParker with a channel wait: the scheduler
+// threads run on their own.
+func (b *goBackend) MainPark() (park, unpark func()) { return chanPark() }
 
 func (b *goBackend) Join(h Handle) {
 	if v, ok := h.(*goULT); ok {

@@ -35,6 +35,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/queue"
 	"repro/internal/sched"
@@ -448,6 +449,53 @@ func (r *Runtime) TaskletCreateBulk(fns []func()) []Handle {
 
 // Yield yields the main thread (Table II row "Yield").
 func (r *Runtime) Yield() { r.b.Yield() }
+
+// MainParker is the optional Backend extension behind Runtime.MainPark.
+// Every bundled backend implements it.
+type MainParker interface {
+	// MainPark builds the main thread's park/unpark pair; see
+	// Runtime.MainPark.
+	MainPark() (park, unpark func())
+}
+
+// MainPark builds the main thread's passive wait — §IX-B's "extra yield
+// calls" of a polling master, replaced by a sleep. park suspends the
+// calling main thread until unpark is called; unpark may be called from
+// any goroutine, and one that lands before park is not lost — the next
+// park returns at once. Unparks between two parks collapse into one, so
+// callers re-check their wait condition after every park. On the
+// cooperative masters park keeps the runtime's local work moving:
+// Argobots and MassiveThreads suspend the adopted primary, freeing its
+// executor; Converse drives processor 0 until its queue is empty, then
+// sleeps. Go and Qthreads executors run on their own, so there park is a
+// plain channel wait.
+// Backends without the MainParker extension fall back to a Yield poll.
+// Build one pair per main thread and call park only from that thread.
+func (r *Runtime) MainPark() (park, unpark func()) {
+	if mp, ok := r.b.(MainParker); ok {
+		return mp.MainPark()
+	}
+	var kicked atomic.Bool
+	park = func() {
+		for !kicked.CompareAndSwap(true, false) {
+			r.b.Yield()
+		}
+	}
+	unpark = func() { kicked.Store(true) }
+	return park, unpark
+}
+
+// chanPark is the main-thread park of backends whose executors need no
+// driving: a one-slot channel keeps an early unpark as the token.
+func chanPark() (park, unpark func()) {
+	token := make(chan struct{}, 1)
+	return func() { <-token }, func() {
+		select {
+		case token <- struct{}{}:
+		default:
+		}
+	}
+}
 
 // Join waits for one work unit (Table II row "Join").
 func (r *Runtime) Join(h Handle) { r.b.Join(h) }

@@ -315,6 +315,23 @@ func (rt *Runtime) Join(th *Thread) {
 // (myth_yield from main).
 func (rt *Runtime) Yield() { rt.primary.Yield() }
 
+// MainPark builds the main flow's idle park (core.Runtime.MainPark):
+// park suspends the primary, and unpark — callable from any goroutine —
+// resumes it through the injection queue, as a reactor resume does. The
+// primary is migratable, so it may have parked on any worker and may
+// resume on any other; nothing ties the main flow to worker 0.
+func (rt *Runtime) MainPark() (park, unpark func()) {
+	return ult.MainPark(rt.primary, rt.injectResumed)
+}
+
+// injectResumed makes a resumed unit runnable from outside the runtime:
+// the MPMC injection queue is the one container a foreign goroutine may
+// push to.
+func (rt *Runtime) injectResumed(j *ult.ULT) {
+	rt.inject.Push(j)
+	rt.idle.Wake()
+}
+
 // Finalize stops the workers (myth_fini). Outstanding ULTs must have been
 // joined first.
 func (rt *Runtime) Finalize() {
@@ -478,9 +495,6 @@ func (c *Context) WorkerID() int { return c.self.Owner().ID() }
 func (c *Context) IOPark() (park func(), unpark func()) {
 	self, rt := c.self, c.rt
 	return func() { self.Suspend() }, func() {
-		ult.ResumeAndRequeue(self, func(j *ult.ULT) {
-			rt.inject.Push(j)
-			rt.idle.Wake()
-		})
+		ult.ResumeAndRequeue(self, rt.injectResumed)
 	}
 }

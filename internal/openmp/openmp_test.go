@@ -154,13 +154,20 @@ func TestGCCCutoffTriggers(t *testing.T) {
 	rt := New(Config{Flavor: GCC, NumThreads: 2, WaitPolicy: Passive})
 	defer rt.Close()
 	// 2 threads → cutoff at 128 outstanding. Creating many tasks from a
-	// single region with slow consumers must inline some.
+	// single region with slow consumers must inline some; every task
+	// waits for the first inline run, so the consumers are slow by
+	// construction rather than by luck.
 	const n = 2000
 	var ran atomic.Int64
 	rt.Parallel(func(tc *TeamCtx) {
 		tc.Single(func() {
 			for i := 0; i < n; i++ {
-				tc.Task(func() { ran.Add(1) })
+				tc.Task(func() {
+					for rt.TasksInlined() == 0 {
+						runtime.Gosched()
+					}
+					ran.Add(1)
+				})
 			}
 		})
 	})
@@ -180,7 +187,15 @@ func TestICCCutoffTriggers(t *testing.T) {
 	rt.Parallel(func(tc *TeamCtx) {
 		tc.Single(func() {
 			for i := 0; i < n; i++ {
-				tc.Task(func() { ran.Add(1) })
+				tc.Task(func() {
+					// A thief that drained the creator's queue as fast as
+					// it fills would keep it under the cutoff; hold every
+					// task until the cutoff has run one inline.
+					for rt.TasksInlined() == 0 {
+						runtime.Gosched()
+					}
+					ran.Add(1)
+				})
 			}
 		})
 	})

@@ -45,13 +45,29 @@ func allStacks() string {
 	return string(buf[:runtime.Stack(buf, true)])
 }
 
+// leftLoop names a dispatch-loop or idle-park frame still on some
+// goroutine's stack, with the dump it was found in, or "" when none is.
+func leftLoop() (string, string) {
+	stacks := allStacks()
+	for _, frame := range []string{
+		"ult.(*Idler).Park", "argobots.(*XStream).loop", "gothreads.(*thread).loop",
+		"qthreads.(*Worker).loop", "massivethreads.(*Worker).loop", "converse.(*Processor).loop",
+	} {
+		if strings.Contains(stacks, frame) {
+			return frame, stacks
+		}
+	}
+	return "", ""
+}
+
 // TestNoLostWakeups is the lost-wakeup surface of the idle policy. The
 // spin budget is forced to 0, so an executor parks on its second empty
 // poll in a row and every wake path is load-bearing: remove the Wake from
 // any one push path and the burst that uses it hangs (the watchdog names
 // it) instead of being rescued by a spinning executor. Bursts alternate with quiescence; at
 // the end Finalize must return from a fully parked runtime and leave no
-// dispatch loop behind.
+// dispatch loop behind. The pump subtests do the same for the serving
+// tier's shard pumps, whose park shares the budget (see pumpWakeups).
 func TestNoLostWakeups(t *testing.T) {
 	old := ultSpinBudget
 	ultSpinBudget = 0
@@ -217,17 +233,26 @@ func TestNoLostWakeups(t *testing.T) {
 				t.Fatalf("%s: not every unit ran", what)
 			default:
 			}
-			stacks := allStacks()
-			for _, frame := range []string{
-				"ult.(*Idler).park", "argobots.(*XStream).loop", "gothreads.(*thread).loop",
-				"qthreads.(*Worker).loop", "massivethreads.(*Worker).loop", "converse.(*Processor).loop",
-			} {
-				if strings.Contains(stacks, frame) {
+			// Finalize returns once every loop has signalled its exit, a
+			// moment before the goroutines finish unwinding; give them
+			// that moment, not a lasting park.
+			for try := 0; ; try++ {
+				frame, stacks := leftLoop()
+				if frame == "" {
+					break
+				}
+				if try == 100 {
 					t.Fatalf("a goroutine is still in %s after Finalize\n%s", frame, stacks)
 				}
+				time.Sleep(10 * time.Millisecond)
 			}
 		})
 	}
+	t.Run("pump", func(t *testing.T) {
+		for _, name := range core.Backends() {
+			t.Run(name, func(t *testing.T) { pumpWakeups(t, name) })
+		}
+	})
 }
 
 // TestIdleExecutorsStopPolling holds on every backend at the shipped spin

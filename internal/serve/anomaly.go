@@ -39,7 +39,8 @@ const (
 // anomaly events. Two triggers:
 //
 //   - P99 spike: the recent-window P99 exceeds spikeFactor times its
-//     own EWMA baseline and the absolute spikeFloor.
+//     own EWMA baseline and the absolute spikeFloor, while the server
+//     has work queued or in flight.
 //   - Sustained saturation: ErrSaturated rejections grew in each of
 //     satRunLength consecutive samples.
 //
@@ -71,7 +72,14 @@ func (d *anomalyDetector) observe(m Metrics) (reason string, fired bool) {
 		d.satRun = 0
 	}
 
-	spiking := d.warm >= spikeWarmup && d.baseline > 0 &&
+	// A high P99 with no live work behind it is a fossil: the latency
+	// window only refreshes on completions, so after a slow burst an
+	// idle server keeps reporting the burst's P99. Judged as a spike it
+	// would never be absorbed into the baseline (spiking samples skip the
+	// update) and would re-fire after every cooldown for as long as the
+	// server stays idle — the same guard as scaleDetector.observe.
+	idle := m.QueueDepth == 0 && m.InFlight == 0
+	spiking := !idle && d.warm >= spikeWarmup && d.baseline > 0 &&
 		p99 > spikeFloor && p99 > spikeFactor*d.baseline
 
 	// Baseline update: skip the sample that is itself a spike (it would

@@ -8,8 +8,10 @@ import (
 	"repro/internal/microbench"
 )
 
+// p99Sample is a sample from a server with live work: one request in
+// flight, so the P99 is current rather than a fossil.
 func p99Sample(p99 time.Duration) Metrics {
-	return Metrics{Latency: microbench.Stats{P99: p99}}
+	return Metrics{InFlight: 1, Latency: microbench.Stats{P99: p99}}
 }
 
 // TestAnomalyP99Spike: a stable baseline, then a 20x spike — the
@@ -30,6 +32,31 @@ func TestAnomalyP99Spike(t *testing.T) {
 		if reason, fired := d.observe(p99Sample(100 * time.Millisecond)); fired {
 			t.Fatalf("re-fired during cooldown sample %d: %s", i, reason)
 		}
+	}
+}
+
+// TestAnomalyIdleFossilP99FiresOnce: a slow burst fires once; the idle
+// server that follows keeps reporting the burst's P99 (the window only
+// refreshes on completions), and that fossil must be absorbed, not
+// re-fired after every cooldown.
+func TestAnomalyIdleFossilP99FiresOnce(t *testing.T) {
+	var d anomalyDetector
+	fired := 0
+	feed := func(m Metrics) {
+		if _, ok := d.observe(m); ok {
+			fired++
+		}
+	}
+	for i := 0; i < 10; i++ {
+		feed(p99Sample(5 * time.Millisecond))
+	}
+	feed(p99Sample(200 * time.Millisecond)) // the burst, with work in flight
+	fossil := Metrics{Latency: microbench.Stats{P99: 200 * time.Millisecond}}
+	for i := 0; i < 10*(cooldownSamples+1); i++ {
+		feed(fossil)
+	}
+	if fired != 1 {
+		t.Fatalf("fired %d times across a burst and an idle fossil P99, want exactly 1", fired)
 	}
 }
 

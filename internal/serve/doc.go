@@ -43,8 +43,23 @@
 // requeued by a running unit, a join or aio completion resuming a
 // parked unit, a push a thief could steal — so an idle Server costs no
 // CPU and a request never queues behind a spinner. There is no option
-// to set. (The pump is a different matter: while requests are in
-// flight it polls the backend's Yield, see pump.)
+// to set.
+//
+// The pump, the backend's main thread, follows the same policy. With
+// nothing to launch it polls again after a yield for the same budget —
+// the backend's Yield while work is in flight, which is what runs local
+// work on the cooperative masters, a runtime.Gosched otherwise — and
+// then parks its main thread (core.Runtime.MainPark: the adopted
+// primary suspends on Argobots and MassiveThreads, the Converse master
+// drains processor 0 and then sleeps on its idler, Go and Qthreads wait
+// on a channel). Before it parks it arms a sleep flag and re-checks its
+// wake condition, and every event that can give it work kicks it after
+// publishing the event: a push, a completion that frees room under a
+// non-empty queue or ends the last in-flight unit, an I/O park that
+// frees room, a peer's unkeyed backlog reaching two (with stealing on),
+// Close, the drain deadline, and the last producer leaving a closed
+// server. Metrics.PumpParks counts the parks, so whether the master is
+// polling is a /metrics query, not a CPU subtraction.
 //
 // # Adaptive pool
 //
@@ -54,7 +69,9 @@
 //   - Work stealing (Options.Steal): a shard whose own queues are empty
 //     and whose executors have spare capacity takes queued unkeyed
 //     requests from the shard with the deepest unkeyed backlog and runs
-//     them itself. Stealing never moves keyed work: each shard buffers
+//     them itself — as the last step before its pump parks, and again
+//     whenever a push grows a peer's unkeyed backlog to two and kicks
+//     it awake; no timer re-scans the pool. Stealing never moves keyed work: each shard buffers
 //     keyed and unkeyed requests separately, and only the owning pump
 //     ever receives from the keyed queue, so the affinity contract —
 //     same key, same runtime, for the server's lifetime — holds by
@@ -83,7 +100,7 @@
 //
 // Server.Metrics returns one Metrics snapshot per shard plus an
 // aggregate. The counters (Submitted, Completed, Saturated, Canceled,
-// Rejected, Failed, Panicked, Steals, ScaleUps/ScaleDowns) are monotonic
+// Rejected, Failed, Panicked, Steals, PumpParks, ScaleUps/ScaleDowns) are monotonic
 // over the Server's lifetime — a shard scaled out of the routing set
 // keeps reporting, so the per-shard slice never loses history; the
 // gauges (QueueDepth, InFlight, IOParked) are instantaneous.

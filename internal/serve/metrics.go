@@ -39,6 +39,7 @@ type metrics struct {
 	failed    atomic.Uint64 // bodies that returned an error
 	panicked  atomic.Uint64 // bodies that panicked
 	steals    atomic.Uint64 // unkeyed requests this shard stole from another shard's queue
+	pumpParks atomic.Uint64 // times the shard's pump parked its main thread
 
 	// hist counts completed requests per latency bucket (non-cumulative
 	// here; Metrics.Hist exposes the Prometheus-style cumulative form).
@@ -149,6 +150,11 @@ type Metrics struct {
 	// drift apart under stealing while the aggregate drain identity
 	// holds exactly.
 	Steals uint64
+	// PumpParks counts the times the shard's pump found nothing to do,
+	// spent the idle policy's spin budget and parked its main thread
+	// until a kick. A pump that polled instead would leave it flat while
+	// burning a core; a parked, quiet shard leaves it flat at no cost.
+	PumpParks uint64
 	// ScaleUps and ScaleDowns count autoscaler routing-set changes over
 	// the server's lifetime (aggregate view only; zero per shard).
 	ScaleUps   uint64

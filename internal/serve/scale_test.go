@@ -197,7 +197,7 @@ func TestAutoscaleGrowShrinkCycle(t *testing.T) {
 	s := MustNew(Options{
 		Backend: "go", Threads: 1, Shards: 1,
 		QueueDepth: 8, MaxInFlight: 1, Batch: 1,
-		Steal: true, StealInterval: 100 * time.Microsecond,
+		Steal: true,
 		Scale: AutoScale{MaxShards: 3, Interval: 5 * time.Millisecond},
 	})
 	sub := s.Submitter()

@@ -14,6 +14,7 @@ import (
 	"repro/internal/microbench"
 	"repro/internal/topo"
 	"repro/internal/trace"
+	"repro/internal/ult"
 )
 
 var (
@@ -47,13 +48,15 @@ const (
 	// DefaultTraceSample is the request-trace sampling interval: one
 	// request in every DefaultTraceSample emits its KindUser interval.
 	DefaultTraceSample = 8
-	// DefaultStealInterval is how often an idle shard re-scans the pool
-	// for a steal victim while parked (Options.Steal).
-	DefaultStealInterval = time.Millisecond
 	// slowTraceCutoff bypasses sampling: any request at least this slow
 	// is always traced, so the flight recorder never misses a tail-
 	// latency outlier between samples.
 	slowTraceCutoff = 25 * time.Millisecond
+	// stealKickDepth is the unkeyed queue depth at which a push also
+	// wakes a parked peer to steal (Options.Steal): one queued request is
+	// its own pump's to take on the push's kick, a second one queued
+	// behind it means that pump has not caught up.
+	stealKickDepth = 2
 )
 
 // Options configures a Server.
@@ -113,12 +116,10 @@ type Options struct {
 	// pinned shard's pump drains — so the affinity contract holds
 	// verbatim. Stolen requests count as Submitted on the shard that
 	// accepted them and Completed on the shard that ran them; the
-	// aggregate drain identity is unaffected.
+	// aggregate drain identity is unaffected. Stealing is event-driven:
+	// an idle pump steals before it parks, and a push that grows a
+	// shard's unkeyed backlog to two wakes one parked pump to steal it.
 	Steal bool
-	// StealInterval is how often an idle shard wakes from its park to
-	// re-scan for steal victims; <= 0 means DefaultStealInterval.
-	// Ignored without Steal.
-	StealInterval time.Duration
 	// Scale arms the shard autoscaler when Scale.MaxShards exceeds
 	// Shards; see AutoScale.
 	Scale AutoScale
@@ -263,6 +264,52 @@ type shard struct {
 	// rt publishes the shard's runtime to metrics scrapes (SchedStats);
 	// only the pump goroutine stores it.
 	rt atomic.Pointer[core.Runtime]
+	// sleep is the pump's armed flag: set just before the pump re-checks
+	// its wake condition and parks, cleared by the one kick that wakes it
+	// (see wait). unpark is the runtime's MainPark wake, written by the
+	// pump before it first arms the flag.
+	sleep  atomic.Bool
+	unpark func()
+}
+
+// room is the shard's spare executor occupancy under MaxInFlight. Work
+// units parked on the async-I/O reactor hold no executor, so they are
+// discounted: the shard keeps admitting while they wait.
+func (sh *shard) room() int {
+	return sh.s.opts.MaxInFlight - int(sh.inflight.Load()-sh.ioparked.Load())
+}
+
+// kick wakes the shard's pump if it is parked or about to park. Every
+// event that can give a parked pump something to do calls it after
+// publishing the event: a push, a completion that frees room under a
+// queue or ends the last in-flight unit, an I/O park that frees room,
+// a steal-worthy backlog on a peer, Close, the drain deadline and the
+// last straggling producer. With the pump awake it is one atomic load;
+// the flag's CAS elects one kicker per park, so every park is paired
+// with exactly one unpark. It reports whether it woke the pump.
+func (sh *shard) kick() bool {
+	if sh.sleep.Load() && sh.sleep.CompareAndSwap(true, false) {
+		sh.unpark()
+		return true
+	}
+	return false
+}
+
+// wait is the pump's one park step, shared by serving and shutdown: arm
+// the sleep flag, re-check the wake condition, and park only if it still
+// fails. Every waker publishes its event before it kicks and the pump
+// arms before it re-checks (all atomics), so either the re-check sees
+// the event or the kick sees the flag. A kick that won the flag after a
+// successful re-check has already issued its unpark; the park that
+// follows consumes that token so the next wait does not return early.
+func (sh *shard) wait(park func(), ready func() bool) {
+	sh.sleep.Store(true)
+	if !ready() {
+		sh.m.pumpParks.Add(1)
+	} else if sh.sleep.CompareAndSwap(true, false) {
+		return
+	}
+	park()
 }
 
 // load is the routing signal: accepted-but-unlaunched plus in-flight
@@ -283,12 +330,32 @@ func (sh *shard) queueFor(r *request) chan *request {
 // token the caller already holds — the single place the accepted-
 // submission counters are bumped, shared by the non-blocking and
 // parked paths. The channel send cannot block: each queue's capacity
-// matches the token count.
+// matches the token count. The push then kicks the shard's pump, and
+// with stealing on, an unkeyed backlog reaching stealKickDepth also
+// wakes a parked peer to steal it.
 func (sh *shard) push(r *request) {
 	r.shard = sh
+	q := sh.queueFor(r)
 	sh.queued.Add(1)
 	sh.m.submitted.Add(1)
-	sh.queueFor(r) <- r
+	q <- r
+	sh.kick()
+	if q == sh.unkeyed && sh.s.opts.Steal && len(q) >= stealKickDepth {
+		sh.s.kickThief(sh)
+	}
+}
+
+// kickThief wakes one parked pump that could steal from victim: a peer
+// with room under its cap. The depth check that calls it reads the
+// channel length, which is not an atomic, so a wake can be missed in a
+// race; that costs the steal, never the request — the victim's own pump
+// still serves its queue.
+func (s *Server) kickThief(victim *shard) {
+	for _, sh := range s.shards() {
+		if sh != victim && sh.sleep.Load() && sh.room() > 0 && sh.kick() {
+			return
+		}
+	}
 }
 
 // pop settles the dequeue side: one queued-counter decrement and one
@@ -417,9 +484,6 @@ func New(opts Options) (*Server, error) {
 	if opts.TraceSample <= 0 {
 		opts.TraceSample = DefaultTraceSample
 	}
-	if opts.StealInterval <= 0 {
-		opts.StealInterval = DefaultStealInterval
-	}
 	if opts.Scale.MaxShards < opts.Shards {
 		opts.Scale.MaxShards = opts.Shards // autoscaling off
 	}
@@ -470,7 +534,7 @@ func New(opts Options) (*Server, error) {
 		// Tear down the shards that did start.
 		s.closed.Store(true)
 		close(s.quit)
-		for _, sh := range s.all {
+		for _, sh := range s.kickAll() {
 			<-sh.done
 		}
 		return nil, fmt.Errorf("serve: start %q: %w", opts.Backend, firstErr)
@@ -571,11 +635,28 @@ func (s *Server) Close() {
 		}
 		close(s.quit)
 	}
+	for _, sh := range s.kickAll() {
+		<-sh.done
+	}
+}
+
+// kickAll kicks every shard's pump, base and dynamic, and returns the
+// shards it kicked.
+func (s *Server) kickAll() []*shard {
 	s.scaleMu.Lock()
 	all := append([]*shard(nil), s.all...)
 	s.scaleMu.Unlock()
 	for _, sh := range all {
-		<-sh.done
+		sh.kick()
+	}
+	return all
+}
+
+// leave ends a producer's submit call. The last producer out after Close
+// kicks every pump: a draining pump parks until the stragglers are gone.
+func (s *Server) leave() {
+	if s.active.Add(-1) == 0 && s.closed.Load() {
+		s.kickAll()
 	}
 }
 
@@ -595,24 +676,24 @@ func (sh *shard) pump(ready chan<- error) {
 		close(sh.done)
 		return
 	}
+	park, unpark := rt.MainPark()
+	sh.unpark = unpark
 	sh.rt.Store(rt)
 	ready <- nil
 	batch := make([]*request, 0, s.opts.Batch)
-	// wake re-arms before each idle park when stealing is on, so a
-	// parked shard periodically re-scans the pool for backlog to steal.
-	var wake *time.Timer
+	// A fresh pump has no traffic yet, so it starts with the budget
+	// spent: the spin is for pipelined pushes, not for competing with
+	// the boot that is still starting its peers.
+	spins := ult.SpinBudget()
 	for {
 		batch = batch[:0]
 		// Batch drain: group up to Batch queued requests into work
 		// units per wakeup, so one scheduler step admits many requests.
-		// The MaxInFlight cap leaves the excess queued, which is what
-		// lets the bounded queue fill and reject.
-		// The gate meters executor occupancy, not liveness: work units
-		// parked on the async-I/O reactor hold no executor, so they are
-		// discounted and the shard keeps admitting while they wait.
+		// The MaxInFlight cap (room) leaves the excess queued, which is
+		// what lets the bounded queue fill and reject.
 		// Keyed requests drain first — only this pump can serve them,
 		// while queued unkeyed work may still be rescued by a thief.
-		for len(batch) < s.opts.Batch && int(sh.inflight.Load()-sh.ioparked.Load())+len(batch) < s.opts.MaxInFlight {
+		for len(batch) < s.opts.Batch && len(batch) < sh.room() {
 			select {
 			case r := <-sh.keyed:
 				sh.pop()
@@ -628,67 +709,93 @@ func (sh *shard) pump(ready chan<- error) {
 			}
 		}
 	collected:
-		if len(batch) == 0 && s.opts.Steal {
-			// Own queues empty (or occupancy at cap — the steal helper
-			// rechecks capacity): be a thief before being idle.
+		idle := len(batch) == 0 && spins >= ult.SpinBudget()
+		if idle && s.opts.Steal {
+			// About to park with nothing of its own to launch (or no room
+			// — the steal helper rechecks capacity): be a thief before
+			// being idle. Not sooner: a pump that steals on every empty
+			// poll races each peer's own pump for requests it was about
+			// to launch, moving them across shards for nothing.
 			sh.stealInto(&batch)
-		}
-		if len(batch) == 0 {
-			if sh.inflight.Load() > 0 {
-				// Work in flight: drive the backend's scheduler. For
-				// cooperative masters this is load-bearing — Converse's
-				// processor 0 and the adopted primaries of Argobots and
-				// MassiveThreads execute their local queues only inside
-				// the main thread's Yield, so the pump cannot park on a
-				// completion signal without stalling those backends; it
-				// polls instead. For autonomous backends (go, qthreads)
-				// Yield degrades to runtime.Gosched, which donates the
-				// processor to the executors rather than spinning past
-				// them; the pump still parks fully whenever inflight
-				// drops to zero (the branch below).
-				rt.Yield()
-			} else {
-				// Fully idle: park until traffic or shutdown arrives —
-				// or, with stealing on, until the next victim scan.
-				var wakeC <-chan time.Time
-				if s.opts.Steal {
-					if wake == nil {
-						wake = time.NewTimer(s.opts.StealInterval)
-					} else {
-						wake.Reset(s.opts.StealInterval)
-					}
-					wakeC = wake.C
-				}
-				select {
-				case r := <-sh.keyed:
-					sh.pop()
-					batch = append(batch, r)
-				case r := <-sh.unkeyed:
-					sh.pop()
-					batch = append(batch, r)
-				case <-wakeC:
-				case <-s.quit:
-					sh.shutdown(rt)
-					return
-				}
-				if wake != nil && !wake.Stop() {
-					select {
-					case <-wake.C:
-					default:
-					}
-				}
-			}
 		}
 		for _, r := range batch {
 			sh.launch(rt, r)
 		}
 		select {
 		case <-s.quit:
-			sh.shutdown(rt)
+			sh.shutdown(rt, park)
 			return
 		default:
 		}
+		if len(batch) > 0 {
+			spins = 0
+			continue
+		}
+		// Nothing to launch: the executors' idle policy, applied to the
+		// master. Under the spin budget the pump polls again after a
+		// yield, so pipelined pushes find it awake. With work in flight
+		// the yield is the runtime's — on the cooperative masters
+		// (Converse's processor 0, the adopted primaries of Argobots and
+		// MassiveThreads) that is what runs local work; with nothing in
+		// flight there is no local work and it is a runtime.Gosched.
+		// With the budget spent it parks until a kick: new traffic, a
+		// completion or I/O park that frees room under a queue, a
+		// peer's steal-worthy backlog, or shutdown.
+		if !idle {
+			spins++
+			if sh.inflight.Load() > 0 {
+				rt.Yield()
+			} else {
+				runtime.Gosched()
+			}
+			continue
+		}
+		spins = 0
+		sh.wait(park, sh.hasWork)
 	}
+}
+
+// hasWork is the serving pump's wake condition: shutdown, or room under
+// MaxInFlight and something to fill it — its own queued work or, with
+// stealing on, a peer's unkeyed backlog.
+func (sh *shard) hasWork() bool {
+	s := sh.s
+	if s.closed.Load() {
+		return true
+	}
+	if sh.room() <= 0 {
+		return false
+	}
+	if sh.queued.Load() > 0 {
+		return true
+	}
+	if !s.opts.Steal {
+		return false
+	}
+	v, _ := sh.victim()
+	return v != nil
+}
+
+// victim picks the steal victim: the routing-set member other than sh
+// with the deepest unkeyed backlog, and that depth. It is nil when no
+// peer has one or sh has been scaled out of the routing set — a shard
+// outside it neither steals nor is stolen from.
+func (sh *shard) victim() (*shard, int) {
+	var victim *shard
+	best, member := 0, false
+	for _, v := range sh.s.shards() {
+		if v == sh {
+			member = true
+			continue
+		}
+		if n := len(v.unkeyed); n > best {
+			victim, best = v, n
+		}
+	}
+	if !member {
+		return nil, 0
+	}
+	return victim, best
 }
 
 // stealInto is the idle-shard steal: scan the routing set for the shard
@@ -699,23 +806,12 @@ func (sh *shard) pump(ready chan<- error) {
 // scaled out of the routing set neither steals nor is stolen from.
 func (sh *shard) stealInto(batch *[]*request) {
 	s := sh.s
-	room := s.opts.MaxInFlight - int(sh.inflight.Load()-sh.ioparked.Load()) - len(*batch)
+	room := sh.room() - len(*batch)
 	if room <= 0 {
 		return
 	}
-	set := s.shards()
-	var victim *shard
-	best, member := 0, false
-	for _, v := range set {
-		if v == sh {
-			member = true
-			continue
-		}
-		if n := len(v.unkeyed); n > best {
-			victim, best = v, n
-		}
-	}
-	if victim == nil || !member {
+	victim, best := sh.victim()
+	if victim == nil {
 		return
 	}
 	max := (best + 1) / 2
@@ -773,12 +869,21 @@ func (sh *shard) launch(rt *core.Runtime, r *request) {
 // to ErrClosed unrun), in-flight work is driven until done, straggling
 // producers are waited out and anything they enqueued is rejected, then
 // the shard's backend is finalized. Every accepted Future resolves.
-func (sh *shard) shutdown(rt *core.Runtime) {
+// Each of the three waits is the pump's park (wait), not a poll: a drain
+// behind handlers parked on I/O costs no CPU for the length of the park.
+func (sh *shard) shutdown(rt *core.Runtime, park func()) {
 	defer close(sh.done)
 	s := sh.s
 	deadline := s.drainBy.Load()
 	expired := func() bool {
 		return deadline != 0 && time.Now().UnixNano() >= deadline
+	}
+	if deadline != 0 {
+		// The drain deadline is an event too: it wakes a pump parked at
+		// the MaxInFlight cap so still-queued requests are rejected on
+		// time.
+		t := time.AfterFunc(time.Until(time.Unix(0, deadline)), func() { sh.kick() })
+		defer t.Stop()
 	}
 	reject := func(r *request) {
 		sh.pop()
@@ -804,9 +909,8 @@ drain:
 				break drain
 			}
 		}
-		if int(sh.inflight.Load()-sh.ioparked.Load()) >= s.opts.MaxInFlight {
-			rt.Yield()
-			runtime.Gosched()
+		if sh.room() <= 0 {
+			sh.wait(park, func() bool { return sh.room() > 0 || expired() })
 			continue
 		}
 		select {
@@ -824,8 +928,7 @@ drain:
 	// be abandoned without corrupting the backend — so the deadline
 	// bounds queue drain, not execution.
 	for sh.inflight.Load() > 0 {
-		rt.Yield()
-		runtime.Gosched()
+		sh.wait(park, func() bool { return sh.inflight.Load() == 0 })
 	}
 	// Producers that passed the closed check concurrently with Close
 	// are counted in active; drain-reject until they are gone so no
@@ -839,7 +942,7 @@ drain:
 		case r := <-sh.unkeyed:
 			reject(r)
 		default:
-			runtime.Gosched()
+			sh.wait(park, func() bool { return s.active.Load() == 0 || sh.queued.Load() > 0 })
 		}
 	}
 	// A straggler's enqueue happens before its active-counter
@@ -869,7 +972,7 @@ drain:
 // holds the outliers a post-incident dump is taken for.
 func (sh *shard) finish(r *request) {
 	lat := time.Since(r.enq)
-	sh.inflight.Add(-1)
+	n := sh.inflight.Add(-1)
 	sh.m.observe(lat)
 	if r.stopCancel != nil {
 		// Release the deadline timer armed by cancelSignal. Same
@@ -879,6 +982,12 @@ func (sh *shard) finish(r *request) {
 	}
 	if r.id&sh.s.traceMask == 0 || lat >= slowTraceCutoff {
 		sh.ring.EmitAt(trace.KindUser, r.id, r.enq, lat)
+	}
+	// Kick only when the completion can matter to a parked pump: the
+	// last in-flight unit (a drain waits for it) or room freed under a
+	// non-empty queue.
+	if n == 0 || sh.queued.Load() > 0 && sh.room() > 0 {
+		sh.kick()
 	}
 }
 
@@ -909,7 +1018,8 @@ func (c requestCtx) CancelCh() <-chan struct{} { return c.r.cancelSignal() }
 // re-mints it here. The park half of every minted pair brackets the
 // suspension with the ioparked counter — both adjustments run on the
 // work unit's own goroutine (before suspending, after resuming), so
-// the accounting is exact, not sampled.
+// the accounting is exact, not sampled. A park that frees room under a
+// non-empty queue kicks the pump, which may be parked at the cap.
 type parkRequestCtx struct {
 	requestCtx
 	sh *shard
@@ -920,6 +1030,9 @@ func (c parkRequestCtx) IOPark() (func(), func()) {
 	sh := c.sh
 	counted := func() {
 		sh.ioparked.Add(1)
+		if sh.queued.Load() > 0 && sh.room() > 0 {
+			sh.kick()
+		}
 		start := sh.ring.Now()
 		park()
 		sh.ring.Interval(trace.KindPark, 0, start)
@@ -1025,7 +1138,7 @@ func do[T any](sub *Submitter, ctx context.Context, ult bool, fn func(core.Ctx) 
 func trySubmit[T any](sub *Submitter, ctx context.Context, deadline time.Time, pin int, ult bool, fn func(core.Ctx) (T, error)) (*Future[T], error) {
 	s := sub.s
 	s.active.Add(1)
-	defer s.active.Add(-1)
+	defer s.leave()
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -1067,7 +1180,7 @@ func (s *Server) keyedShard(pin int) *shard {
 func submit[T any](sub *Submitter, ctx context.Context, deadline time.Time, pin int, ult bool, fn func(core.Ctx) (T, error)) (*Future[T], error) {
 	s := sub.s
 	s.active.Add(1)
-	defer s.active.Add(-1)
+	defer s.leave()
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -1169,6 +1282,7 @@ func (s *Server) Snapshot() (Metrics, []Metrics) {
 			Failed:     sh.m.failed.Load(),
 			Panicked:   sh.m.panicked.Load(),
 			Steals:     sh.m.steals.Load(),
+			PumpParks:  sh.m.pumpParks.Load(),
 			QueueDepth: int(sh.queued.Load()),
 			InFlight:   int(sh.inflight.Load()),
 			IOParked:   int(sh.ioparked.Load()),
@@ -1200,6 +1314,7 @@ func (s *Server) Snapshot() (Metrics, []Metrics) {
 		agg.Failed += mt.Failed
 		agg.Panicked += mt.Panicked
 		agg.Steals += mt.Steals
+		agg.PumpParks += mt.PumpParks
 		agg.QueueDepth += mt.QueueDepth
 		agg.InFlight += mt.InFlight
 		agg.IOParked += mt.IOParked

@@ -33,7 +33,7 @@ func TestStealRescuesUnkeyedBacklog(t *testing.T) {
 	s := MustNew(Options{
 		Backend: "go", Threads: 1, Shards: 2,
 		Router: fixedRouter(0), QueueDepth: 64, MaxInFlight: 1, Batch: 4,
-		Steal: true, StealInterval: 100 * time.Microsecond,
+		Steal: true,
 	})
 	sub := s.Submitter()
 	key := keyFor(t, s, 0)
@@ -143,7 +143,7 @@ func TestStealZipfSkewDrainIdentity(t *testing.T) {
 	s := MustNew(Options{
 		Backend: "go", Threads: 1, Shards: 4,
 		Router: fixedRouter(0), QueueDepth: 128, MaxInFlight: 2,
-		Steal: true, StealInterval: 50 * time.Microsecond,
+		Steal: true,
 	})
 	sub := s.Submitter()
 

@@ -1,5 +1,7 @@
 package ult
 
+import "sync/atomic"
+
 // Adoption turns the calling goroutine into the *primary ULT* of an
 // executor. This mirrors how the C libraries treat main(): in Argobots the
 // caller of ABT_init becomes the primary ULT of Execution Stream 0, in
@@ -61,4 +63,52 @@ func (t *ULT) Detach() {
 	t.comp.Store(t.gen.Load() + 1)
 	t.sealWaiters(owner)
 	owner.handback <- handoff{t: t, st: StatusDone}
+}
+
+// MainPark builds the park/unpark pair an adopted primary waits on when
+// it has nothing to do: park suspends the primary, so its executor serves
+// other units (or parks itself), and unpark — callable from any goroutine
+// — resumes it through requeue. An unpark that lands before the park is
+// kept as a pending token that the next park consumes without
+// suspending, and unparks between two parks collapse into one; callers
+// re-check their wait condition after every park. park must only be
+// called from the primary's own goroutine while it is Running.
+func MainPark(primary *ULT, requeue func(*ULT)) (park, unpark func()) {
+	const (
+		running = iota // no token pending
+		pending        // an unpark arrived while the primary was running
+		parked         // the primary is suspending or suspended
+	)
+	var state atomic.Int32
+	park = func() {
+		for {
+			if state.CompareAndSwap(pending, running) {
+				return
+			}
+			if state.CompareAndSwap(running, parked) {
+				primary.Suspend()
+				return
+			}
+		}
+	}
+	unpark = func() {
+		for {
+			switch state.Load() {
+			case pending:
+				return
+			case running:
+				if state.CompareAndSwap(running, pending) {
+					return
+				}
+			case parked:
+				if state.CompareAndSwap(parked, running) {
+					// Spins out the window between the primary's CAS
+					// and the Blocked store inside its Suspend.
+					ResumeAndRequeue(primary, requeue)
+					return
+				}
+			}
+		}
+	}
+	return park, unpark
 }

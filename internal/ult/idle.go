@@ -13,9 +13,17 @@ import (
 // wake cost. An executor whose next unit arrives within it behaves as
 // under a busy-wait policy; one that has gone a full budget without work
 // costs nothing until the next push. It is one value for every runtime —
-// a variable rather than a constant only so the lost-wakeup stress test
-// in internal/semantics can force it to 0; nothing else writes it.
+// and for the serving tier's shard pumps, which read it through
+// SpinBudget — a variable rather than a constant only so the lost-wakeup
+// stress test in internal/semantics can force it to 0; nothing else
+// writes it.
 var spinBudget uint32 = 64
+
+// SpinBudget reports the idle policy's spin budget: how many empty polls
+// a waiter yields through before it parks. Main-thread waiters outside
+// the dispatch loops (the serving tier's shard pumps) spend the same
+// budget before their own park, so one policy covers both.
+func SpinBudget() uint32 { return spinBudget }
 
 // Idler is one wake domain: the executors that pop from one pool (or from
 // pools they may steal from each other) park on it, and every path that
@@ -59,9 +67,14 @@ func (d *Idler) Close() {
 	d.mu.Unlock()
 }
 
-// park blocks until the epoch differs from the one captured, or Close. It
+// Epoch reads the wake epoch. A waiter outside the dispatch loops (the
+// Converse master) captures it, polls once more, and parks on it with
+// Park — the same order Executor.Idle keeps.
+func (d *Idler) Epoch() uint64 { return d.epoch.Load() }
+
+// Park blocks until the epoch differs from the one captured, or Close. It
 // reports false once the idler is closed.
-func (d *Idler) park(epoch uint64) bool {
+func (d *Idler) Park(epoch uint64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.cond.L == nil {
@@ -100,6 +113,6 @@ func (e *Executor) Idle(d *Idler, bat *trace.Batcher) {
 		e.empties = 0
 		bat.IdleNow()
 		e.stats.Parks.Add(1)
-		d.park(e.epoch)
+		d.Park(e.epoch)
 	}
 }

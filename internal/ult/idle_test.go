@@ -26,7 +26,7 @@ func TestIdlerZeroValue(t *testing.T) {
 		t.Fatalf("epoch = %d, want 1", d.epoch.Load())
 	}
 	d.Close()
-	if d.park(d.epoch.Load()) {
+	if d.Park(d.epoch.Load()) {
 		t.Fatal("park on a closed zero-value idler returned true")
 	}
 }
@@ -38,7 +38,7 @@ func TestIdlerWakeBetweenCaptureAndPark(t *testing.T) {
 	var d Idler
 	e := d.epoch.Load()
 	d.Wake()
-	if !d.park(e) { // would block forever on a lost wakeup
+	if !d.Park(e) { // would block forever on a lost wakeup
 		t.Fatal("park returned closed")
 	}
 	if d.sleepers.Load() != 0 {
@@ -51,7 +51,7 @@ func TestIdlerOneWakeReleasesAllSleepers(t *testing.T) {
 	var d Idler
 	out := make(chan bool, n)
 	for i := 0; i < n; i++ {
-		go func() { out <- d.park(d.epoch.Load()) }()
+		go func() { out <- d.Park(d.epoch.Load()) }()
 	}
 	awaitSleepers(t, &d, n)
 	d.Wake()
@@ -70,7 +70,7 @@ func TestIdlerCloseReleasesSleepersForGood(t *testing.T) {
 	var d Idler
 	out := make(chan bool, n)
 	for i := 0; i < n; i++ {
-		go func() { out <- d.park(d.epoch.Load()) }()
+		go func() { out <- d.Park(d.epoch.Load()) }()
 	}
 	awaitSleepers(t, &d, n)
 	d.Close()
@@ -79,7 +79,7 @@ func TestIdlerCloseReleasesSleepersForGood(t *testing.T) {
 			t.Fatal("park returned true on Close")
 		}
 	}
-	if d.park(d.epoch.Load()) {
+	if d.Park(d.epoch.Load()) {
 		t.Fatal("park after Close returned true")
 	}
 	d.Wake() // still harmless
