@@ -485,7 +485,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 				}
 				srv, err := lwt.NewServer(lwt.ServeOptions{
 					Backend: backend, Threads: threads, Shards: shards,
-					QueueDepth: 256, Batch: 32, LatencyWindow: 1 << 16,
+					QueueDepth: 256, Batch: 32,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -527,9 +527,9 @@ func BenchmarkServeThroughput(b *testing.B) {
 				if secs := b.Elapsed().Seconds(); secs > 0 {
 					b.ReportMetric(float64(b.N)/secs, "req/s")
 				}
-				if m := srv.Metrics(); m.Latency.Reps > 0 {
-					b.ReportMetric(float64(m.Latency.P50)/1e3, "p50-µs")
-					b.ReportMetric(float64(m.Latency.P99)/1e3, "p99-µs")
+				if m := srv.Metrics(); m.Latency.Total() > 0 {
+					b.ReportMetric(float64(m.Latency.Quantile(0.5))/1e3, "p50-µs")
+					b.ReportMetric(float64(m.Latency.Quantile(0.99))/1e3, "p99-µs")
 				}
 			})
 		}
@@ -565,7 +565,7 @@ func BenchmarkServeDeadlineThroughput(b *testing.B) {
 				}
 				srv, err := lwt.NewServer(lwt.ServeOptions{
 					Backend: backend, Threads: threads, Shards: shards,
-					QueueDepth: 256, Batch: 32, LatencyWindow: 1 << 16,
+					QueueDepth: 256, Batch: 32,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -656,7 +656,7 @@ func BenchmarkServeIOThroughput(b *testing.B) {
 					}
 					srv, err := lwt.NewServer(lwt.ServeOptions{
 						Backend: backend, Threads: threads, Shards: shards,
-						QueueDepth: 256, Batch: 32, LatencyWindow: 1 << 14,
+						QueueDepth: 256, Batch: 32,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -794,7 +794,6 @@ func BenchmarkServeAdaptive(b *testing.B) {
 				opts := lwt.ServeOptions{
 					Backend: backend, Threads: 1, Shards: baseShards,
 					QueueDepth: 64, MaxInFlight: 2, Batch: 8,
-					LatencyWindow: 1 << 14,
 				}
 				if mode == "adaptive" {
 					opts.Steal = true
@@ -854,7 +853,7 @@ func BenchmarkServeAdaptive(b *testing.B) {
 				if secs := b.Elapsed().Seconds(); secs > 0 {
 					b.ReportMetric(float64(b.N)/secs, "req/s")
 				}
-				b.ReportMetric(float64(m.Latency.P99)/1e6, "p99-ms")
+				b.ReportMetric(float64(m.Latency.Quantile(0.99))/1e6, "p99-ms")
 				if mode == "adaptive" {
 					b.ReportMetric(float64(m.Steals), "steals")
 					b.ReportMetric(float64(m.ScaleUps), "scaleups")
@@ -862,7 +861,7 @@ func BenchmarkServeAdaptive(b *testing.B) {
 				nsop := b.Elapsed().Nanoseconds() / int64(b.N)
 				key := cell{system: backend + "/" + mode}
 				if prev, ok := best[key]; !ok || nsop < prev.nsop {
-					best[key] = sample{nsop: nsop, p99: m.Latency.P99}
+					best[key] = sample{nsop: nsop, p99: m.Latency.Quantile(0.99)}
 				}
 			})
 		}

@@ -27,7 +27,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -35,9 +34,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,6 +41,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/smoke"
 )
 
 var (
@@ -60,124 +57,6 @@ var (
 // client enforces the no-hangs terminal-response guarantee: any request
 // that cannot produce a response inside the timeout counts as lost.
 var client = &http.Client{Timeout: 90 * time.Second}
-
-var listenRe = regexp.MustCompile(`listening on (\S+)`)
-
-// proc is one supervised child process with a scanned log.
-type proc struct {
-	name string
-	cmd  *exec.Cmd
-	addr chan string // actual bound address, sent once
-
-	mu       sync.Mutex
-	exited   bool
-	exitCode int
-	waitDone chan struct{}
-}
-
-// startProc launches bin, tees its output to logdir/<name>.log, and
-// watches for the parseable "listening on <addr>" line.
-func startProc(name, bin string, args ...string) (*proc, error) {
-	logPath := filepath.Join(*logDir, name+".log")
-	logFile, err := os.Create(logPath)
-	if err != nil {
-		return nil, err
-	}
-	p := &proc{name: name, addr: make(chan string, 1), waitDone: make(chan struct{})}
-	p.cmd = exec.Command(bin, args...)
-	pr, pw := io.Pipe()
-	p.cmd.Stdout = pw
-	p.cmd.Stderr = pw
-	go func() {
-		defer logFile.Close()
-		sc := bufio.NewScanner(pr)
-		sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-		announced := false
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Fprintln(logFile, line)
-			if !announced {
-				if m := listenRe.FindStringSubmatch(line); m != nil {
-					announced = true
-					p.addr <- m[1]
-				}
-			}
-		}
-	}()
-	if err := p.cmd.Start(); err != nil {
-		return nil, fmt.Errorf("start %s: %w", name, err)
-	}
-	go func() {
-		err := p.cmd.Wait()
-		pw.Close()
-		p.mu.Lock()
-		p.exited = true
-		p.exitCode = 0
-		if err != nil {
-			p.exitCode = -1
-			if ee, ok := err.(*exec.ExitError); ok {
-				p.exitCode = ee.ExitCode()
-			}
-		}
-		p.mu.Unlock()
-		close(p.waitDone)
-	}()
-	return p, nil
-}
-
-// waitAddr blocks for the announced listen address.
-func (p *proc) waitAddr(d time.Duration) (string, error) {
-	select {
-	case a := <-p.addr:
-		return a, nil
-	case <-p.waitDone:
-		return "", fmt.Errorf("%s exited before announcing its address (see %s.log)", p.name, p.name)
-	case <-time.After(d):
-		return "", fmt.Errorf("%s did not announce its address within %v", p.name, d)
-	}
-}
-
-// signalAndWait sends sig and waits for exit, returning the exit code.
-func (p *proc) signalAndWait(sig syscall.Signal, d time.Duration) (int, error) {
-	_ = p.cmd.Process.Signal(sig)
-	select {
-	case <-p.waitDone:
-	case <-time.After(d):
-		_ = p.cmd.Process.Kill()
-		return -1, fmt.Errorf("%s did not exit within %v of %v", p.name, d, sig)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.exitCode, nil
-}
-
-func (p *proc) kill() {
-	p.mu.Lock()
-	exited := p.exited
-	p.mu.Unlock()
-	if !exited && p.cmd.Process != nil {
-		_ = p.cmd.Process.Kill()
-	}
-}
-
-// failures accumulates check failures; the scenario keeps going where
-// it safely can so one run reports as much as possible.
-var failures atomic.Int32
-
-func failf(format string, args ...any) {
-	failures.Add(1)
-	log.Printf("FAIL: "+format, args...)
-}
-
-func fatalf(procs []*proc, format string, args ...any) {
-	log.Printf("FATAL: "+format, args...)
-	for _, p := range procs {
-		if p != nil {
-			p.kill()
-		}
-	}
-	os.Exit(1)
-}
 
 // getJSON issues a GET and decodes the body into out (when non-nil).
 // It returns the status and serving worker id; a transport error or
@@ -216,39 +95,37 @@ func main() {
 	if err := os.MkdirAll(*logDir, 0o755); err != nil {
 		log.Fatal(err)
 	}
+	drill := &smoke.Drill{LogDir: *logDir}
 
 	// ---- Phase 1: boot N workers + 1 gate on ephemeral ports.
-	var procs []*proc
-	var workerProcs []*proc
+	var workerProcs []*smoke.Proc
 	var workerAddrs []string
 	for i := 0; i < *nWorkers; i++ {
-		p, err := startProc(fmt.Sprintf("worker-%d", i), *workerBin,
+		p, err := drill.Start(fmt.Sprintf("worker-%d", i), *workerBin,
 			"-addr", "127.0.0.1:0", "-shards", "2", "-threads", "1",
 			"-queue", "256", "-batch", "16", "-drain", "20s")
 		if err != nil {
-			fatalf(procs, "%v", err)
+			drill.Fatalf("%v", err)
 		}
-		procs = append(procs, p)
 		workerProcs = append(workerProcs, p)
-		a, err := p.waitAddr(30 * time.Second)
+		a, err := p.WaitAddr(30 * time.Second)
 		if err != nil {
-			fatalf(procs, "%v", err)
+			drill.Fatalf("%v", err)
 		}
 		workerAddrs = append(workerAddrs, a)
 		log.Printf("worker-%d listening on %s", i, a)
 	}
-	gate, err := startProc("gate", *gateBin,
+	gate, err := drill.Start("gate", *gateBin,
 		"-addr", "127.0.0.1:0", "-workers", strings.Join(workerAddrs, ","),
 		"-check-interval", "200ms", "-check-timeout", "1s",
 		"-fail-after", "2", "-ready-after", "2", "-retries", "2", "-drain", "20s",
 		"-attempt-timeout", "2s")
 	if err != nil {
-		fatalf(procs, "%v", err)
+		drill.Fatalf("%v", err)
 	}
-	procs = append(procs, gate)
-	gateAddr, err := gate.waitAddr(30 * time.Second)
+	gateAddr, err := gate.WaitAddr(30 * time.Second)
 	if err != nil {
-		fatalf(procs, "%v", err)
+		drill.Fatalf("%v", err)
 	}
 	gateURL := "http://" + gateAddr
 	log.Printf("gate listening on %s over %v", gateAddr, workerAddrs)
@@ -262,29 +139,29 @@ func main() {
 		time.Sleep(100 * time.Millisecond)
 	}
 	if !ok {
-		fatalf(procs, "gate never became ready")
+		drill.Fatalf("gate never became ready")
 	}
 
 	// ---- Phase 2: keyed + unkeyed fib/dgemm/parfor on every backend,
 	// proxied through the gate.
 	var backends []string
 	if status, _, _, err := getJSON(gateURL+"/backends", &backends); err != nil || status != http.StatusOK || len(backends) == 0 {
-		fatalf(procs, "listing backends through gate: status %d err %v", status, err)
+		drill.Fatalf("listing backends through gate: status %d err %v", status, err)
 	}
 	log.Printf("driving backends through gate: %v", backends)
 	for _, b := range backends {
 		var r computeResult
 		if status, _, _, err := getJSON(gateURL+"/fib?n=22&wait=1&backend="+b, &r); status != http.StatusOK || err != nil || r.Value != 17711 {
-			failf("backend %s: fib(22) status %d value %v err %v", b, status, r.Value, err)
+			drill.Failf("backend %s: fib(22) status %d value %v err %v", b, status, r.Value, err)
 		}
 		if status, _, _, err := getJSON(gateURL+"/dgemm?n=48&wait=1&backend="+b, &r); status != http.StatusOK || err != nil || r.Value <= 0 {
-			failf("backend %s: dgemm status %d value %v err %v", b, status, r.Value, err)
+			drill.Failf("backend %s: dgemm status %d value %v err %v", b, status, r.Value, err)
 		}
 		if status, _, _, err := getJSON(gateURL+"/parfor?n=65536&backend="+b, &r); status != http.StatusOK || err != nil || r.Value <= 0 {
-			failf("backend %s: parfor status %d value %v err %v", b, status, r.Value, err)
+			drill.Failf("backend %s: parfor status %d value %v err %v", b, status, r.Value, err)
 		}
 		if status, worker, _, err := getJSON(gateURL+"/fib?n=20&wait=1&backend="+b+"&key=smoke-"+b, &r); status != http.StatusOK || err != nil || r.Value != 6765 || worker == "" {
-			failf("backend %s: keyed fib(20) status %d value %v worker %q err %v", b, status, r.Value, worker, err)
+			drill.Failf("backend %s: keyed fib(20) status %d value %v worker %q err %v", b, status, r.Value, worker, err)
 		}
 	}
 
@@ -295,14 +172,14 @@ func main() {
 		key := keyOf(i)
 		status, worker, _, err := getJSON(gateURL+"/fib?n=12&wait=1&key="+key, nil)
 		if status != http.StatusOK || worker == "" || err != nil {
-			fatalf(procs, "affinity map: key %s status %d worker %q err %v", key, status, worker, err)
+			drill.Fatalf("affinity map: key %s status %d worker %q err %v", key, status, worker, err)
 		}
 		owner[key] = worker
 	}
 	for i := 0; i < *keyCount; i++ {
 		key := keyOf(i)
 		if _, worker, _, _ := getJSON(gateURL+"/fib?n=12&wait=1&key="+key, nil); worker != owner[key] {
-			failf("affinity unstable before kill: key %s moved %s -> %s", key, owner[key], worker)
+			drill.Failf("affinity unstable before kill: key %s moved %s -> %s", key, owner[key], worker)
 		}
 	}
 	perWorker := map[string]int{}
@@ -320,8 +197,8 @@ func main() {
 	frozen := workerProcs[0]
 	frozenAddr := workerAddrs[0]
 	log.Printf("SIGSTOPping worker-0 (%s) under load", frozenAddr)
-	if err := chaos.Pause(frozen.cmd.Process.Pid); err != nil {
-		fatalf(procs, "SIGSTOP worker-0: %v", err)
+	if err := chaos.Pause(frozen.Cmd.Process.Pid); err != nil {
+		drill.Fatalf("SIGSTOP worker-0: %v", err)
 	}
 	{
 		var fLost, fOK, fErr atomic.Int64
@@ -351,10 +228,10 @@ func main() {
 		fwg.Wait()
 		log.Printf("frozen-worker load: ok=%d explicit-errors=%d lost=%d", fOK.Load(), fErr.Load(), fLost.Load())
 		if fLost.Load() != 0 {
-			failf("%d requests lost while worker-0 was frozen", fLost.Load())
+			drill.Failf("%d requests lost while worker-0 was frozen", fLost.Load())
 		}
 		if fOK.Load() == 0 {
-			failf("no successful responses while worker-0 was frozen")
+			drill.Failf("no successful responses while worker-0 was frozen")
 		}
 	}
 	frozenEjected := false
@@ -372,10 +249,10 @@ func main() {
 		}
 	}
 	if !frozenEjected {
-		failf("gate never ejected frozen worker %s", frozenAddr)
+		drill.Failf("gate never ejected frozen worker %s", frozenAddr)
 	}
-	if err := chaos.Resume(frozen.cmd.Process.Pid); err != nil {
-		fatalf(procs, "SIGCONT worker-0: %v", err)
+	if err := chaos.Resume(frozen.Cmd.Process.Pid); err != nil {
+		drill.Fatalf("SIGCONT worker-0: %v", err)
 	}
 	// Re-admission plus breaker recovery: a key owned by the thawed
 	// worker routes back to it once probes pass and its breaker's
@@ -388,7 +265,7 @@ func main() {
 		}
 	}
 	if frozenKey == "" {
-		failf("no keyed session mapped to worker-0; cannot verify thaw affinity")
+		drill.Failf("no keyed session mapped to worker-0; cannot verify thaw affinity")
 	} else {
 		restored := false
 		deadline := time.Now().Add(15 * time.Second)
@@ -400,7 +277,7 @@ func main() {
 			time.Sleep(200 * time.Millisecond)
 		}
 		if !restored {
-			failf("thawed worker %s never got key %s back", frozenAddr, frozenKey)
+			drill.Failf("thawed worker %s never got key %s back", frozenAddr, frozenKey)
 		} else {
 			log.Printf("worker-0 thawed: re-admitted, affinity restored")
 		}
@@ -453,7 +330,7 @@ func main() {
 				// dying. (Keys pinned to the victim may fail over.)
 				if !isLost && status == http.StatusOK && wantWorker != "" && worker != wantWorker {
 					affinityViolations.Add(1)
-					failf("load: key pinned to survivor %s served by %s", wantWorker, worker)
+					drill.Failf("load: key pinned to survivor %s served by %s", wantWorker, worker)
 				}
 			}
 		}(g)
@@ -462,22 +339,22 @@ func main() {
 		time.Sleep(*loadFor / 4)
 		killed.Store(true)
 		log.Printf("SIGKILLing worker-1 (%s) mid-load", victimAddr)
-		_ = victim.cmd.Process.Kill()
+		_ = victim.Cmd.Process.Kill()
 	}()
 	wg.Wait()
 	if !killed.Load() {
-		failf("load phase ended before the kill fired — raise -load")
+		drill.Failf("load phase ended before the kill fired — raise -load")
 	}
 	log.Printf("load done: sent=%d ok=%d explicit-errors=%d lost=%d",
 		sent.Load(), okResp.Load(), explicitErr.Load(), lost.Load())
 	if lost.Load() != 0 {
-		failf("%d requests lost (no terminal response)", lost.Load())
+		drill.Failf("%d requests lost (no terminal response)", lost.Load())
 	}
 	if okResp.Load() == 0 {
-		failf("no successful responses under load")
+		drill.Failf("no successful responses under load")
 	}
 	if e, s := explicitErr.Load(), sent.Load(); e*20 > s {
-		failf("explicit errors %d exceed 5%% of %d sent", e, s)
+		drill.Failf("explicit errors %d exceed 5%% of %d sent", e, s)
 	}
 
 	// ---- Phase 5: the gate must have ejected the victim; keys pinned
@@ -499,7 +376,7 @@ func main() {
 		time.Sleep(100 * time.Millisecond)
 	}
 	if !ejected {
-		failf("gate never ejected killed worker %s", victimAddr)
+		drill.Failf("gate never ejected killed worker %s", victimAddr)
 	}
 	moved := 0
 	newOwner := make(map[string]string, *keyCount)
@@ -507,62 +384,56 @@ func main() {
 		key := keyOf(i)
 		status, worker, _, err := getJSON(gateURL+"/fib?n=12&wait=1&key="+key, nil)
 		if status != http.StatusOK || err != nil {
-			failf("post-kill keyed request %s: status %d err %v", key, status, err)
+			drill.Failf("post-kill keyed request %s: status %d err %v", key, status, err)
 			continue
 		}
 		newOwner[key] = worker
 		switch {
 		case worker == victimAddr:
-			failf("key %s still routed to killed worker", key)
+			drill.Failf("key %s still routed to killed worker", key)
 		case owner[key] == victimAddr:
 			moved++
 		case worker != owner[key]:
-			failf("bounded reshuffle violated: key %s on survivor %s moved to %s", key, owner[key], worker)
+			drill.Failf("bounded reshuffle violated: key %s on survivor %s moved to %s", key, owner[key], worker)
 		}
 	}
 	// The victim's share is ~K/N (consistent hashing's bound); well
 	// under half the keys for N=3 even with ring imbalance.
 	if moved != perWorker[victimAddr] {
-		failf("moved %d keys, expected exactly the victim's %d", moved, perWorker[victimAddr])
+		drill.Failf("moved %d keys, expected exactly the victim's %d", moved, perWorker[victimAddr])
 	}
 	if 2*moved >= *keyCount {
-		failf("reshuffle unbounded: %d/%d keys moved", moved, *keyCount)
+		drill.Failf("reshuffle unbounded: %d/%d keys moved", moved, *keyCount)
 	}
 	log.Printf("bounded reshuffle: %d/%d keys remapped (victim owned %d)", moved, *keyCount, perWorker[victimAddr])
 	for i := 0; i < *keyCount; i++ {
 		key := keyOf(i)
 		if _, worker, _, _ := getJSON(gateURL+"/fib?n=12&wait=1&key="+key, nil); worker != newOwner[key] {
-			failf("post-kill affinity unstable: key %s moved %s -> %s", key, newOwner[key], worker)
+			drill.Failf("post-kill affinity unstable: key %s moved %s -> %s", key, newOwner[key], worker)
 		}
 	}
 
 	// ---- Phase 6: graceful drain — gate first, then surviving
 	// workers; each must exit 0 after a clean flush.
-	if code, err := gate.signalAndWait(syscall.SIGTERM, 30*time.Second); err != nil || code != 0 {
-		failf("gate drain: exit=%d err=%v", code, err)
-	} else if !logContains("gate", "drained cleanly") {
-		failf("gate log missing 'drained cleanly'")
+	if code, err := gate.SignalAndWait(syscall.SIGTERM, 30*time.Second); err != nil || code != 0 {
+		drill.Failf("gate drain: exit=%d err=%v", code, err)
+	} else if !drill.LogContains("gate", "drained cleanly") {
+		drill.Failf("gate log missing 'drained cleanly'")
 	}
 	for i, p := range workerProcs {
 		if p == victim {
 			continue
 		}
-		if code, err := p.signalAndWait(syscall.SIGTERM, 30*time.Second); err != nil || code != 0 {
-			failf("worker-%d drain: exit=%d err=%v", i, code, err)
-		} else if !logContains(fmt.Sprintf("worker-%d", i), "drained cleanly") {
-			failf("worker-%d log missing 'drained cleanly'", i)
+		if code, err := p.SignalAndWait(syscall.SIGTERM, 30*time.Second); err != nil || code != 0 {
+			drill.Failf("worker-%d drain: exit=%d err=%v", i, code, err)
+		} else if !drill.LogContains(fmt.Sprintf("worker-%d", i), "drained cleanly") {
+			drill.Failf("worker-%d log missing 'drained cleanly'", i)
 		}
 	}
 
-	if n := failures.Load(); n > 0 {
+	if n := drill.Failed(); n > 0 {
 		log.Fatalf("cluster smoke FAILED: %d check(s) failed", n)
 	}
 	log.Printf("cluster smoke PASSED: %d workers, %d requests under load, 1 freeze + 1 kill, 0 lost, %d/%d keys reshuffled, clean drains",
 		*nWorkers, sent.Load(), moved, *keyCount)
-}
-
-// logContains greps one child's archived log.
-func logContains(name, substr string) bool {
-	b, err := os.ReadFile(filepath.Join(*logDir, name+".log"))
-	return err == nil && strings.Contains(string(b), substr)
 }

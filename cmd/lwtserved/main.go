@@ -65,7 +65,7 @@
 // queued when the budget runs out, it is shed without running; already
 // launched, the handler's parked waits wake early with a cancellation
 // error. Either way the response is 504 Gateway Timeout. Request latency percentiles come from the serving
-// layer's own metrics window. On SIGINT/SIGTERM the daemon flips
+// layer's own latency histogram. On SIGINT/SIGTERM the daemon flips
 // /readyz to 503 first (so a cluster router stops sending work), then
 // stops admission, drains every shard (each accepted request resolves),
 // and exits 0.

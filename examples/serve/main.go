@@ -128,7 +128,7 @@ func main() {
 			split += fmt.Sprint(s.Completed)
 		}
 		fmt.Printf("%-26s completed=%-5d per-shard=%-12s p50=%-10v p99=%-10v %8.0f req/s  saturated rejections seen: %d\n",
-			backend, m.Completed, split, m.Latency.P50, m.Latency.P99, m.Throughput, saturated)
+			backend, m.Completed, split, m.Latency.Quantile(0.5), m.Latency.Quantile(0.99), m.Throughput, saturated)
 		if wrong.Load() != 0 {
 			log.Fatalf("%s: %d wrong results", backend, wrong.Load())
 		}

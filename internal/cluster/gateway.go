@@ -499,11 +499,14 @@ func (g *Gateway) forward(ctx context.Context, wk *Worker, r *http.Request, dead
 	}
 	// Latency feeds the estimate only for responses that did work;
 	// 503s go through the penalty instead (a fast shed must not look
-	// like a fast worker).
+	// like a fast worker). Only hedgedAttempt reads the hedge window, so
+	// without hedging no response takes its lock.
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		lat := time.Since(t0)
 		wk.observe(lat)
-		g.observeLatency(lat)
+		if g.hedge {
+			g.observeLatency(lat)
+		}
 	}
 	return resp, nil
 }

@@ -339,25 +339,6 @@ func MustOpen(cfg Config) *Runtime {
 	return r
 }
 
-// New initializes backend name with nthreads executors.
-//
-// Deprecated: New is the v1 positional constructor kept for migration;
-// use Open, which adds scheduler selection and capability negotiation.
-func New(name string, nthreads int) (*Runtime, error) {
-	return Open(Config{Backend: name, Executors: nthreads})
-}
-
-// MustNew is New for known-good arguments; it panics on error.
-//
-// Deprecated: use MustOpen.
-func MustNew(name string, nthreads int) *Runtime {
-	r, err := New(name, nthreads)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // Backend exposes the underlying backend.
 func (r *Runtime) Backend() Backend { return r.b }
 

@@ -29,9 +29,9 @@ func TestRegistryLists(t *testing.T) {
 }
 
 func TestUnknownBackend(t *testing.T) {
-	_, err := New("no-such-runtime", 2)
+	_, err := Open(Config{Backend: "no-such-runtime", Executors: 2})
 	if err == nil {
-		t.Fatal("New accepted an unknown backend")
+		t.Fatal("Open accepted an unknown backend")
 	}
 	if !strings.Contains(err.Error(), "no-such-runtime") {
 		t.Fatalf("error %q does not name the backend", err)
@@ -50,10 +50,10 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 func TestMustNewPanicsOnUnknown(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MustNew did not panic")
+			t.Fatal("MustOpen did not panic")
 		}
 	}()
-	MustNew("bogus", 1)
+	MustOpen(Config{Backend: "bogus", Executors: 1})
 }
 
 // TestListing4Shape runs the exact program shape of Listing 4 on every
@@ -62,7 +62,7 @@ func TestListing4Shape(t *testing.T) {
 	for _, name := range allBackends() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			r := MustNew(name, 4)
+			r := MustOpen(Config{Backend: name, Executors: 4})
 			if r.Name() != name {
 				t.Fatalf("Name = %q, want %q", r.Name(), name)
 			}
@@ -86,7 +86,7 @@ func TestTaskletCreateAllBackends(t *testing.T) {
 	for _, name := range allBackends() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			r := MustNew(name, 3)
+			r := MustOpen(Config{Backend: name, Executors: 3})
 			defer r.Finalize()
 			const n = 60
 			var ran atomic.Int64
@@ -106,7 +106,7 @@ func TestNestedCreationAllBackends(t *testing.T) {
 	for _, name := range allBackends() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			r := MustNew(name, 4)
+			r := MustOpen(Config{Backend: name, Executors: 4})
 			defer r.Finalize()
 			const parents, children = 8, 4
 			var leaves atomic.Int64
@@ -134,7 +134,7 @@ func TestNestedTaskletsAllBackends(t *testing.T) {
 	for _, name := range allBackends() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			r := MustNew(name, 4)
+			r := MustOpen(Config{Backend: name, Executors: 4})
 			defer r.Finalize()
 			const parents, children = 6, 5
 			var leaves atomic.Int64
@@ -162,7 +162,7 @@ func TestYieldInsideULTAllBackends(t *testing.T) {
 	for _, name := range allBackends() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			r := MustNew(name, 2)
+			r := MustOpen(Config{Backend: name, Executors: 2})
 			defer r.Finalize()
 			var steps atomic.Int64
 			h := r.ULTCreate(func(c Ctx) {
@@ -201,7 +201,7 @@ func TestCapabilitiesMatchTableI(t *testing.T) {
 		},
 	}
 	for name, check := range cases {
-		r := MustNew(name, 2)
+		r := MustOpen(Config{Backend: name, Executors: 2})
 		caps := r.Caps()
 		r.Finalize()
 		if !check(caps) {
@@ -212,7 +212,7 @@ func TestCapabilitiesMatchTableI(t *testing.T) {
 
 func TestJoinOnCompletedHandle(t *testing.T) {
 	for _, name := range allBackends() {
-		r := MustNew(name, 2)
+		r := MustOpen(Config{Backend: name, Executors: 2})
 		h := r.ULTCreate(func(Ctx) {})
 		r.Join(h)
 		if !h.Done() {

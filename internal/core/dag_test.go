@@ -66,7 +66,7 @@ func TestRandomSpawnTreesAllBackends(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
-			r := MustNew(name, 3)
+			r := MustOpen(Config{Backend: name, Executors: 3})
 			defer r.Finalize()
 			for trial := 0; trial < 8; trial++ {
 				ts := genTree(rng)
@@ -90,7 +90,7 @@ func TestJoinOrderIndependence(t *testing.T) {
 	for _, name := range Backends() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			r := MustNew(name, 3)
+			r := MustOpen(Config{Backend: name, Executors: 3})
 			defer r.Finalize()
 			const n = 60
 			var ran atomic.Int64
@@ -120,7 +120,7 @@ func TestPanickedUnitsStillJoinable(t *testing.T) {
 	for _, name := range Backends() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			r := MustNew(name, 2)
+			r := MustOpen(Config{Backend: name, Executors: 2})
 			defer r.Finalize()
 			bad := r.ULTCreate(func(Ctx) { panic("injected") })
 			good := r.ULTCreate(func(Ctx) {})

@@ -14,7 +14,7 @@ import (
 // documents: every backend advertises AsyncIO.
 func TestAsyncIOCapability(t *testing.T) {
 	for _, name := range core.Backends() {
-		r := core.MustNew(name, 2)
+		r := core.MustOpen(core.Config{Backend: name, Executors: 2})
 		if !r.Caps().AsyncIO {
 			t.Errorf("%s: AsyncIO capability not set", name)
 		}
@@ -28,7 +28,7 @@ func TestAsyncIOCapability(t *testing.T) {
 func TestSleepInULT(t *testing.T) {
 	for _, name := range core.Backends() {
 		t.Run(name, func(t *testing.T) {
-			r := core.MustNew(name, 2)
+			r := core.MustOpen(core.Config{Backend: name, Executors: 2})
 			defer r.Finalize()
 			var elapsed atomic.Int64
 			h := r.ULTCreate(func(c core.Ctx) {
@@ -55,7 +55,7 @@ func TestSleepInULT(t *testing.T) {
 func TestSleepResumeNotStarvedByYieldSpin(t *testing.T) {
 	for _, name := range core.Backends() {
 		t.Run(name, func(t *testing.T) {
-			r := core.MustNew(name, 1)
+			r := core.MustOpen(core.Config{Backend: name, Executors: 1})
 			defer r.Finalize()
 			var done atomic.Bool
 			h := r.ULTCreate(func(c core.Ctx) {
@@ -81,7 +81,7 @@ func TestSleepResumeNotStarvedByYieldSpin(t *testing.T) {
 func TestSleepFreesExecutor(t *testing.T) {
 	for _, name := range core.Backends() {
 		t.Run(name, func(t *testing.T) {
-			r := core.MustNew(name, 1)
+			r := core.MustOpen(core.Config{Backend: name, Executors: 1})
 			defer r.Finalize()
 			var siblingDone atomic.Bool
 			var sawSibling atomic.Bool
@@ -114,7 +114,7 @@ func TestSleepNilCtx(t *testing.T) {
 // TestDeadlineInULT checks cancellation propagation through the parked
 // wait on a parking backend and on the nil-context fallback.
 func TestDeadlineInULT(t *testing.T) {
-	r := core.MustNew("argobots", 2)
+	r := core.MustOpen(core.Config{Backend: "argobots", Executors: 2})
 	defer r.Finalize()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
@@ -134,7 +134,7 @@ func TestDeadlineInULT(t *testing.T) {
 // TestAwaitIOInULT parks a unit on a future-shaped channel and closes
 // it from outside the runtime.
 func TestAwaitIOInULT(t *testing.T) {
-	r := core.MustNew("qthreads", 2)
+	r := core.MustOpen(core.Config{Backend: "qthreads", Executors: 2})
 	defer r.Finalize()
 	done := make(chan struct{})
 	var woke atomic.Bool
@@ -152,7 +152,7 @@ func TestAwaitIOInULT(t *testing.T) {
 // TestReadWriteIOInULT moves bytes through a net.Pipe from inside work
 // units: the reader parks until the writer's bytes arrive.
 func TestReadWriteIOInULT(t *testing.T) {
-	r := core.MustNew("go", 2)
+	r := core.MustOpen(core.Config{Backend: "go", Executors: 2})
 	defer r.Finalize()
 	client, server := net.Pipe()
 	defer client.Close()

@@ -82,26 +82,6 @@ func MustOpen(cfg Config) *Runtime {
 	return rt
 }
 
-// New builds the layer over the named unified-API backend with nthreads
-// executors.
-//
-// Deprecated: New is the v1 positional constructor kept for migration;
-// use Open.
-func New(backend string, nthreads int) (*Runtime, error) {
-	return Open(Config{Backend: backend, Executors: nthreads})
-}
-
-// MustNew is New for known-good arguments; it panics on error.
-//
-// Deprecated: use MustOpen.
-func MustNew(backend string, nthreads int) *Runtime {
-	rt, err := New(backend, nthreads)
-	if err != nil {
-		panic(err)
-	}
-	return rt
-}
-
 // Close finalizes the underlying backend.
 func (rt *Runtime) Close() { rt.r.Finalize() }
 

@@ -134,11 +134,14 @@
 //     return core.ErrCanceled early. Cancellation is strictly
 //     cooperative: a handler that ignores the channel runs to the end
 //     and counts as Completed.
-//   - Latency is recorded per completion into both a bounded window
-//     (Latency, for P50/P99 quantiles) and a fixed-bound cumulative
-//     histogram (Hist over HistBounds, with LatencySum/Completed as the
-//     mean) — the histogram is what /metrics exports, since quantiles
-//     over a window cannot be aggregated across scrapes.
+//   - Latency is recorded per completion into one lock-free log-bucket
+//     histogram per shard (internal/lathist: four buckets per power of
+//     two, an atomic add per request). Metrics.Latency is its lifetime
+//     Counts: Quantile gives P50/P99 within 25 %, and the difference of
+//     two samples' Latency is the latency of the requests completed
+//     between them — the window by time the anomaly watchdog and the
+//     autoscaler judge. WriteProm folds the same counts onto
+//     power-of-two le bounds, so /metrics and Metrics never disagree.
 //   - Sched carries the shard queue's cumulative queue.Counts (pushes,
 //     pops, steals, contended CAS retries, empty polls, executor parks),
 //     surfaced so scheduler-level contention is visible next to

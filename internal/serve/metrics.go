@@ -1,34 +1,14 @@
 package serve
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/microbench"
+	"repro/internal/lathist"
 	"repro/internal/queue"
 )
 
-// histBounds are the fixed exponential upper bounds of the latency
-// histogram, chosen to straddle the paper's microsecond-scale work units
-// and real I/O-bound request times. The histogram has one more bucket
-// than bounds: the final, implicit bound is +Inf.
-var histBounds = [...]time.Duration{
-	50 * time.Microsecond, 100 * time.Microsecond, 250 * time.Microsecond,
-	500 * time.Microsecond, time.Millisecond, 2500 * time.Microsecond,
-	5 * time.Millisecond, 10 * time.Millisecond, 25 * time.Millisecond,
-	50 * time.Millisecond, 100 * time.Millisecond, 250 * time.Millisecond,
-	500 * time.Millisecond, time.Second, 2500 * time.Millisecond,
-}
-
-const numHistBuckets = len(histBounds) + 1
-
-// HistBounds returns the latency histogram's bucket upper bounds. The
-// returned slice has len(Metrics.Hist)-1 entries; the last histogram
-// bucket is +Inf. Callers must not modify it.
-func HistBounds() []time.Duration { return histBounds[:] }
-
-// metrics is one shard's internal counter and latency-sample state.
+// metrics is one shard's internal counters and latency histogram.
 type metrics struct {
 	submitted atomic.Uint64 // accepted into the queue
 	completed atomic.Uint64 // request bodies finished (incl. failed/panicked)
@@ -40,69 +20,16 @@ type metrics struct {
 	panicked  atomic.Uint64 // bodies that panicked
 	steals    atomic.Uint64 // unkeyed requests this shard stole from another shard's queue
 	pumpParks atomic.Uint64 // times the shard's pump parked its main thread
-
-	// hist counts completed requests per latency bucket (non-cumulative
-	// here; Metrics.Hist exposes the Prometheus-style cumulative form).
-	// latSum accumulates every observed latency for the _sum series.
-	hist   [numHistBuckets]atomic.Uint64
-	latSum atomic.Int64
-
-	// lats is a ring of recent end-to-end request latencies
-	// (submission to completion), the window Metrics summarizes.
-	mu   sync.Mutex
-	lats []time.Duration
-	next int
-	wrap bool
+	lat       lathist.Hist  // end-to-end latency of every completed request
 }
 
-// observe records one completed request's latency.
+// observe records one completed request's latency. It takes no lock.
 func (m *metrics) observe(lat time.Duration) {
 	m.completed.Add(1)
-	b := 0
-	for b < len(histBounds) && lat > histBounds[b] {
-		b++
-	}
-	m.hist[b].Add(1)
-	m.latSum.Add(int64(lat))
-	m.mu.Lock()
-	if len(m.lats) > 0 {
-		m.lats[m.next] = lat
-		m.next++
-		if m.next == len(m.lats) {
-			m.next = 0
-			m.wrap = true
-		}
-	}
-	m.mu.Unlock()
+	m.lat.Observe(lat)
 }
 
-// histSnapshot reads the bucket counters once and returns the cumulative
-// (Prometheus "le"-style) histogram: entry i counts requests with
-// latency <= histBounds[i], the final entry counts everything observed.
-func (m *metrics) histSnapshot() []uint64 {
-	out := make([]uint64, numHistBuckets)
-	var run uint64
-	for i := range m.hist {
-		run += m.hist[i].Load()
-		out[i] = run
-	}
-	return out
-}
-
-// window snapshots the latency ring in no particular order.
-func (m *metrics) window() []time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := m.next
-	if m.wrap {
-		n = len(m.lats)
-	}
-	out := make([]time.Duration, n)
-	copy(out, m.lats[:n])
-	return out
-}
-
-// Metrics is a point-in-time snapshot of serving counters and recent
+// Metrics is a point-in-time snapshot of serving counters and the
 // latency distribution — the throughput/queue-depth/percentile view a
 // serving deployment watches. Server.Metrics returns the aggregate
 // across shards (Shard == -1); Server.ShardMetrics returns one entry
@@ -173,22 +100,15 @@ type Metrics struct {
 	Uptime time.Duration
 	// Throughput is Completed divided by Uptime, in requests/second.
 	Throughput float64
-	// Latency summarizes the recent latency window: mean, RSD and the
-	// P50/P95/P99 percentiles (zero-valued until a request completes).
-	// Latency is end-to-end — measured from the submission call, so for
-	// blocking submits it includes time spent waiting out backpressure,
-	// not just queued-to-completion service time.
-	Latency microbench.Stats
-	// Hist is the cumulative end-to-end latency histogram over the
-	// server's whole lifetime (unlike Latency, which covers only the
-	// recent window): Hist[i] counts completed requests with latency
-	// <= HistBounds()[i], and the final entry — the +Inf bucket — counts
-	// every completion. Cumulative counts map directly onto Prometheus
-	// histogram "le" series.
-	Hist []uint64
-	// LatencySum is the sum of every completed request's end-to-end
-	// latency, the _sum companion to Hist.
-	LatencySum time.Duration
+	// Latency counts every completed request's end-to-end latency over
+	// the server's lifetime, four log-linear buckets per power of two
+	// (package lathist): Latency.Quantile(0.99) is the P99 within 25 %,
+	// and the Sub of two samples' Latency holds exactly the requests that
+	// completed between them. Latency is end-to-end — measured from the
+	// submission call, so for blocking submits it includes time spent
+	// waiting out backpressure, not just queued-to-completion service
+	// time.
+	Latency lathist.Counts
 	// Sched snapshots the shard runtime's scheduler pool counters —
 	// pushes, pops, steals, contended operations, empty polls — and its
 	// executors' parks, summed across the backend's executors (and

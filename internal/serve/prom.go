@@ -3,7 +3,9 @@ package serve
 import (
 	"io"
 	"strconv"
+	"time"
 
+	"repro/internal/lathist"
 	"repro/internal/prom"
 )
 
@@ -114,18 +116,32 @@ func WriteProm(w io.Writer, views ...View) (int64, error) {
 
 	pw.Family("lwt_serve_latency_seconds",
 		"End-to-end request latency, submission call to completion.", prom.Histogram)
-	bounds := make([]float64, len(HistBounds()))
-	for i, b := range HistBounds() {
-		bounds[i] = b.Seconds()
+	bounds := make([]float64, 0, latencyMaxExp-latencyMinExp+1)
+	for e := latencyMinExp; e <= latencyMaxExp; e++ {
+		bounds = append(bounds, (time.Duration(1) << e).Seconds())
 	}
 	for _, v := range views {
 		for _, m := range v.Shards {
-			if len(m.Hist) == 0 {
-				continue
-			}
-			pw.Histogram("lwt_serve_latency_seconds", bounds, m.Hist,
-				m.LatencySum.Seconds(), shardLabels(m)...)
+			pw.Histogram("lwt_serve_latency_seconds", bounds, latencyBuckets(m.Latency),
+				m.Latency.Sum().Seconds(), shardLabels(m)...)
 		}
 	}
 	return pw.WriteTo(w)
+}
+
+// lwt_serve_latency_seconds folds each shard's lathist counts onto the
+// power-of-two le bounds 2^latencyMinExp ns (~16µs) to 2^latencyMaxExp
+// ns (~4.3s). Every power of two is a lathist bucket bound, so the fold
+// is exact and the server keeps one bucket array, not two.
+const latencyMinExp, latencyMaxExp = 14, 32
+
+// latencyBuckets returns the cumulative counts WriteProm exports: entry
+// i counts the requests at or below 2^(latencyMinExp+i) ns, the final
+// entry every request.
+func latencyBuckets(c lathist.Counts) []uint64 {
+	cum := make([]uint64, 0, latencyMaxExp-latencyMinExp+2)
+	for e := latencyMinExp; e <= latencyMaxExp; e++ {
+		cum = append(cum, c.CountLE(time.Duration(1)<<e))
+	}
+	return append(cum, c.Total())
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/lathist"
 	"repro/internal/prom"
 )
 
@@ -94,8 +95,8 @@ func TestWritePromExposition(t *testing.T) {
 	if agg.Completed != n {
 		t.Fatalf("aggregate Completed = %d, want %d", agg.Completed, n)
 	}
-	if agg.Hist[len(agg.Hist)-1] != n {
-		t.Fatalf("aggregate +Inf bucket = %d, want %d", agg.Hist[len(agg.Hist)-1], n)
+	if agg.Latency.Total() != n {
+		t.Fatalf("aggregate latency count = %d, want %d", agg.Latency.Total(), n)
 	}
 	if agg.Sched.Pushes == 0 {
 		t.Fatal("aggregate Sched.Pushes = 0, want > 0 after 10 requests")
@@ -109,29 +110,25 @@ func shardLabel(i int) string {
 	return string(rune('0' + i))
 }
 
-// TestHistogramBuckets pins observe()'s bucket placement: a value equal
-// to a bound lands in that bound's bucket (le is <=), one past it in
-// the next.
+// TestHistogramBuckets pins the fold onto lwt_serve_latency_seconds'
+// power-of-two le bounds: a value equal to a bound lands in that bound's
+// bucket (le is <=), one past it in the next, and a value beyond the
+// last bound only in +Inf.
 func TestHistogramBuckets(t *testing.T) {
-	var m metrics
-	m.lats = make([]time.Duration, 4)
-	m.observe(histBounds[0])     // exactly the first bound -> bucket 0
-	m.observe(histBounds[0] + 1) // just past it -> bucket 1
-	m.observe(10 * time.Second)  // beyond every bound -> +Inf bucket
-	h := m.histSnapshot()
-	if h[0] != 1 {
-		t.Fatalf("bucket 0 cumulative = %d, want 1", h[0])
+	first := time.Duration(1) << latencyMinExp
+	var h lathist.Hist
+	h.Observe(time.Nanosecond)  // below every bound
+	h.Observe(first)            // exactly the first bound
+	h.Observe(first + 1)        // just past it
+	h.Observe(10 * time.Second) // beyond the last bound
+	cum := latencyBuckets(h.Snapshot())
+	if n := latencyMaxExp - latencyMinExp + 2; len(cum) != n {
+		t.Fatalf("%d cumulative buckets, want %d (one per power of two plus +Inf)", len(cum), n)
 	}
-	if h[1] != 2 {
-		t.Fatalf("bucket 1 cumulative = %d, want 2", h[1])
-	}
-	if got := h[len(h)-1]; got != 3 {
-		t.Fatalf("+Inf cumulative = %d, want 3", got)
-	}
-	if m.latSum.Load() != int64(histBounds[0]+histBounds[0]+1+10*time.Second) {
-		t.Fatalf("latSum = %d", m.latSum.Load())
-	}
-	if len(h) != len(HistBounds())+1 {
-		t.Fatalf("histogram has %d buckets for %d bounds", len(h), len(HistBounds()))
+	last := len(cum) - 1
+	for i, want := range map[int]uint64{0: 2, 1: 3, last - 1: 3, last: 4} {
+		if cum[i] != want {
+			t.Errorf("bucket %d cumulative = %d, want %d", i, cum[i], want)
+		}
 	}
 }

@@ -15,40 +15,15 @@ const DefaultScaleInterval = 500 * time.Millisecond
 // never confuse the two.
 const scaleLaneExec = -4096
 
-// Autoscaler tuning. Like the anomaly detector's, the constants are
-// deliberately deterministic — fixed run lengths, no randomness — so a
-// given metrics sequence always scales the same way and the unit tests
-// can drive the detector sample by sample.
-const (
-	// growRunLength: consecutive hot samples before the pool grows by
-	// one shard. One full queue is backpressure working; several sample
-	// periods of it is sustained saturation.
-	growRunLength = 3
-	// shrinkRunLength: consecutive cold samples before the pool sheds
-	// one dynamic shard — longer than growRunLength so the pool grows
-	// eagerly under pressure and shrinks reluctantly (scale-down
-	// hysteresis).
-	shrinkRunLength = 8
-	// scaleCooldown: samples to hold after a scale event, letting the
-	// depth and P99 signals absorb the new shard count before the next
-	// decision.
-	scaleCooldown = 4
-	// scaleSpikeFactor: P99 above this multiple of its own EWMA
-	// baseline marks a sample hot even before the queues back up —
-	// gentler than the anomaly watchdog's spikeFactor because scaling
-	// should engage before the incident, not report it.
-	scaleSpikeFactor = 2
-)
-
 // AutoScale configures the shard autoscaler. The zero value leaves it
 // off: the autoscaler arms only when MaxShards exceeds Options.Shards.
 //
 // The controller samples the aggregate Metrics every Interval and feeds
-// a deterministic detector: sustained saturation — the queues' depth
-// signal backing up past the per-shard in-flight cap, ErrSaturated
-// rejections growing, or P99 spiking over its EWMA baseline — for
-// growRunLength consecutive samples grows the routing set by one shard;
-// a pool that stays cold for shrinkRunLength samples shrinks by one.
+// the anomaly watchdog's detector under scaleThresholds: three samples
+// running of queued work at the per-shard in-flight cap or of growing
+// ErrSaturated rejections, or three of an interval P99 over twice its
+// EWMA baseline, grow the routing set by one shard; a pool that stays
+// calm for eight samples shrinks by one.
 //
 // Growth never remaps keys: keyed submissions hash over the base
 // Options.Shards only, so dynamic shards carry unkeyed traffic. Shrink
@@ -68,85 +43,6 @@ type AutoScale struct {
 	Interval time.Duration
 }
 
-// scaleDetector classifies a stream of aggregate Metrics samples into
-// grow/shrink decisions. Not safe for concurrent use; the controller
-// goroutine owns it.
-type scaleDetector struct {
-	baseline      time.Duration // EWMA of recent-window P99
-	warm          int           // nonzero-P99 samples seen so far
-	lastSaturated uint64
-	hotRun        int
-	coldRun       int
-	cooldown      int
-}
-
-// observe feeds one aggregate sample and returns +1 (grow), -1
-// (shrink) or 0 (hold). maxInFlight is the per-shard Options value the
-// depth signal is measured against.
-func (d *scaleDetector) observe(m Metrics, maxInFlight int) int {
-	shards := m.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	// The p2c routers balance on queued+inflight depth; the controller
-	// reads the same signal per shard. Queued work at or past the
-	// in-flight cap means the executors cannot absorb arrivals.
-	depth := float64(m.QueueDepth) / float64(shards)
-	satGrew := m.Saturated > d.lastSaturated
-	d.lastSaturated = m.Saturated
-
-	p99 := m.Latency.P99
-	// A high P99 with no live work behind it is a fossil: the latency
-	// window only refreshes on completions, so once the pool goes idle
-	// the last loaded regime's P99 freezes in place. Treating it as a
-	// spike would wedge the detector — spiking samples skip the baseline
-	// update, so the baseline could never catch up and cold (which
-	// requires !spiking) could never accumulate.
-	idle := m.QueueDepth == 0 && m.InFlight == 0
-	spiking := !idle && d.warm >= spikeWarmup && d.baseline > 0 && p99 > scaleSpikeFactor*d.baseline
-	// Baseline update mirrors the anomaly detector: skip the spiking
-	// sample itself, absorb everything else, so a regime change stops
-	// looking hot once the pool has scaled to it.
-	if p99 > 0 && !spiking {
-		d.warm++
-		if d.baseline == 0 {
-			d.baseline = p99
-		} else {
-			d.baseline += (p99 - d.baseline) >> ewmaShift
-		}
-	}
-
-	hot := satGrew || depth >= float64(maxInFlight) || (spiking && m.QueueDepth > 0)
-	cold := m.QueueDepth == 0 && !satGrew && !spiking &&
-		float64(m.InFlight)/float64(shards) < float64(maxInFlight)/2
-	switch {
-	case hot:
-		d.hotRun++
-		d.coldRun = 0
-	case cold:
-		d.coldRun++
-		d.hotRun = 0
-	default:
-		d.hotRun, d.coldRun = 0, 0
-	}
-
-	if d.cooldown > 0 {
-		d.cooldown--
-		return 0
-	}
-	switch {
-	case d.hotRun >= growRunLength:
-		d.hotRun = 0
-		d.cooldown = scaleCooldown
-		return 1
-	case d.coldRun >= shrinkRunLength:
-		d.coldRun = 0
-		d.cooldown = scaleCooldown
-		return -1
-	}
-	return 0
-}
-
 // watchScale is the autoscaler's controller goroutine: it samples the
 // aggregate Metrics every Scale.Interval, feeds the detector, and
 // applies its verdicts. Started by New only when Scale.MaxShards >
@@ -154,20 +50,34 @@ func (d *scaleDetector) observe(m Metrics, maxInFlight int) int {
 func (s *Server) watchScale() {
 	tick := time.NewTicker(s.opts.Scale.Interval)
 	defer tick.Stop()
-	var det scaleDetector
+	det := detector{th: scaleThresholds}
 	for {
 		select {
 		case <-s.quit:
 			return
 		case <-tick.C:
-			switch det.observe(s.Metrics(), s.opts.MaxInFlight) {
-			case 1:
+			m := s.Metrics()
+			loaded, calm := scaleLoad(m, s.opts.MaxInFlight)
+			switch det.observe(m, loaded, calm) {
+			case spike, hot:
 				s.grow()
-			case -1:
+			case cold:
 				s.shrink()
 			}
 		}
 	}
+}
+
+// scaleLoad reads the autoscaler's own signals off an aggregate sample,
+// per shard, on the depth the p2c routers balance: queued work at or
+// past the in-flight cap means the executors cannot absorb arrivals
+// (loaded); an empty queue with executors under half the cap means the
+// pool can spare a shard (calm).
+func scaleLoad(m Metrics, maxInFlight int) (loaded, calm bool) {
+	shards := float64(max(m.Shards, 1))
+	loaded = float64(m.QueueDepth)/shards >= float64(maxInFlight)
+	calm = m.QueueDepth == 0 && float64(m.InFlight)/shards < float64(maxInFlight)/2
+	return loaded, calm
 }
 
 // grow adds one shard to the routing set: a previously scaled-down

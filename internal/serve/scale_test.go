@@ -6,107 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/microbench"
 	"repro/internal/topo"
 )
-
-// TestScaleDetectorVerdicts drives the autoscale detector sample by
-// sample — it is deterministic by design — through its three regimes:
-// sustained depth pressure grows, sustained cold shrinks, and the
-// cooldown separates consecutive decisions.
-func TestScaleDetectorVerdicts(t *testing.T) {
-	var d scaleDetector
-	const maxInFlight = 2
-	hot := Metrics{Shards: 1, QueueDepth: 10, InFlight: maxInFlight}
-	cold := Metrics{Shards: 2, QueueDepth: 0, InFlight: 0}
-
-	for i := 1; i < growRunLength; i++ {
-		if v := d.observe(hot, maxInFlight); v != 0 {
-			t.Fatalf("hot sample %d: verdict %d, want 0 (run not complete)", i, v)
-		}
-	}
-	if v := d.observe(hot, maxInFlight); v != 1 {
-		t.Fatalf("hot sample %d: verdict %d, want grow", growRunLength, v)
-	}
-	// Cooldown absorbs the next scaleCooldown samples even though the
-	// pressure persists.
-	for i := 0; i < scaleCooldown; i++ {
-		if v := d.observe(hot, maxInFlight); v != 0 {
-			t.Fatalf("cooldown sample %d: verdict %d, want 0", i, v)
-		}
-	}
-	// Hot run kept accumulating through the cooldown, so the next hot
-	// sample may fire again.
-	if v := d.observe(hot, maxInFlight); v != 1 {
-		t.Fatalf("post-cooldown hot sample: verdict %d, want grow", v)
-	}
-
-	d = scaleDetector{}
-	for i := 1; i < shrinkRunLength; i++ {
-		if v := d.observe(cold, maxInFlight); v != 0 {
-			t.Fatalf("cold sample %d: verdict %d, want 0", i, v)
-		}
-	}
-	if v := d.observe(cold, maxInFlight); v != -1 {
-		t.Fatalf("cold sample %d: verdict %d, want shrink", shrinkRunLength, v)
-	}
-}
-
-// TestScaleDetectorP99Spike pins the latency trigger: a P99 blowing past
-// its own EWMA baseline marks samples hot even while the queues are
-// shallower than the in-flight cap.
-func TestScaleDetectorP99Spike(t *testing.T) {
-	var d scaleDetector
-	const maxInFlight = 100 // depth signal never trips in this test
-	calm := Metrics{Shards: 1, QueueDepth: 0, InFlight: maxInFlight,
-		Latency: microbench.Stats{P99: time.Millisecond}}
-	spike := Metrics{Shards: 1, QueueDepth: 1, InFlight: maxInFlight,
-		Latency: microbench.Stats{P99: 10 * time.Millisecond}}
-
-	for i := 0; i < spikeWarmup+1; i++ {
-		if v := d.observe(calm, maxInFlight); v != 0 {
-			t.Fatalf("warmup sample %d: verdict %d, want 0", i, v)
-		}
-	}
-	for i := 1; i < growRunLength; i++ {
-		if v := d.observe(spike, maxInFlight); v != 0 {
-			t.Fatalf("spike sample %d: verdict %d, want 0", i, v)
-		}
-	}
-	if v := d.observe(spike, maxInFlight); v != 1 {
-		t.Fatalf("spike sample %d: verdict %d, want grow", growRunLength, v)
-	}
-}
-
-// TestScaleDetectorStaleP99ShrinksIdlePool pins the fossil-P99 rule: when
-// load stops, the latency window freezes at the loaded regime's P99 —
-// often more than spike-factor over the lagging EWMA baseline. An idle
-// pool (empty queues, nothing in flight) must read as cold anyway, or
-// the detector wedges: spiking samples skip the baseline update, so the
-// baseline would never catch up and the pool would never shrink.
-func TestScaleDetectorStaleP99ShrinksIdlePool(t *testing.T) {
-	var d scaleDetector
-	const maxInFlight = 1
-	calm := Metrics{Shards: 2, QueueDepth: 0, InFlight: 1,
-		Latency: microbench.Stats{P99: time.Millisecond}}
-	for i := 0; i < spikeWarmup+1; i++ {
-		if v := d.observe(calm, maxInFlight); v != 0 {
-			t.Fatalf("warmup sample %d: verdict %d, want 0", i, v)
-		}
-	}
-	// Load gone, but the frozen window still reports a P99 far over the
-	// baseline the calm samples built.
-	stale := Metrics{Shards: 2, QueueDepth: 0, InFlight: 0,
-		Latency: microbench.Stats{P99: 100 * time.Millisecond}}
-	for i := 1; i < shrinkRunLength; i++ {
-		if v := d.observe(stale, maxInFlight); v != 0 {
-			t.Fatalf("idle sample %d: verdict %d, want 0", i, v)
-		}
-	}
-	if v := d.observe(stale, maxInFlight); v != -1 {
-		t.Fatalf("idle sample %d: verdict %d, want shrink despite the stale P99", shrinkRunLength, v)
-	}
-}
 
 // TestGrowShrinkRevive exercises the scaling mechanics directly: grow to
 // the ceiling, serve through the widened set, shrink to the base floor,

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/microbench"
 	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/internal/ult"
@@ -42,9 +41,6 @@ const (
 	// DefaultBatch is the largest request group launched per pump
 	// wakeup.
 	DefaultBatch = 64
-	// DefaultLatencyWindow is the number of recent latency samples each
-	// shard's metrics keep.
-	DefaultLatencyWindow = 4096
 	// DefaultTraceSample is the request-trace sampling interval: one
 	// request in every DefaultTraceSample emits its KindUser interval.
 	DefaultTraceSample = 8
@@ -100,9 +96,6 @@ type Options struct {
 	// straight into the backend's unbounded pools. <= 0 means
 	// QueueDepth.
 	MaxInFlight int
-	// LatencyWindow is the recent-sample count kept per shard for
-	// percentile metrics; <= 0 means DefaultLatencyWindow.
-	LatencyWindow int
 	// DrainTimeout bounds how long Close lets each shard keep launching
 	// queued requests. Work already launched always runs to completion;
 	// once the deadline passes, requests still queued resolve their
@@ -145,7 +138,7 @@ type Options struct {
 	// OnAnomaly, when non-nil, arms the anomaly watchdog: Metrics() is
 	// sampled every AnomalyInterval and the callback fires when the
 	// detector sees a P99 spike against its EWMA baseline or sustained
-	// saturation growth (see anomalyDetector). The callback runs on the
+	// saturation growth (see detector). The callback runs on the
 	// watchdog goroutine — lwtserved uses it to write a flight-recorder
 	// dump, which is the point: the trace window still holds the anomaly
 	// when the callback fires.
@@ -478,9 +471,6 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxInFlight <= 0 {
 		opts.MaxInFlight = opts.QueueDepth
 	}
-	if opts.LatencyWindow <= 0 {
-		opts.LatencyWindow = DefaultLatencyWindow
-	}
 	if opts.TraceSample <= 0 {
 		opts.TraceSample = DefaultTraceSample
 	}
@@ -562,7 +552,6 @@ func (s *Server) newShard(id int) *shard {
 		done:    make(chan struct{}),
 		ring:    s.rec.SharedRing(fmt.Sprintf("serve/%s/shard%d", s.opts.Backend, id), -(id + 1)),
 	}
-	sh.m.lats = make([]time.Duration, s.opts.LatencyWindow)
 	return sh
 }
 
@@ -1243,13 +1232,12 @@ func submit[T any](sub *Submitter, ctx context.Context, deadline time.Time, pin 
 	}
 }
 
-// Snapshot reads the server's counters and latency windows once and
+// Snapshot reads the server's counters and latency histograms once and
 // returns both views: the cross-shard aggregate (Metrics.Shard == -1)
 // and the per-shard breakdown (entry i is shard i, including shards
 // currently scaled out of the routing set — their counters stay
-// visible and monotonic). Each shard's latency ring is locked and
-// copied a single time, shared by both views — the form a metrics
-// scrape that wants aggregate and breakdown together should use.
+// visible and monotonic) — the form a metrics scrape that wants
+// aggregate and breakdown together should use.
 func (s *Server) Snapshot() (Metrics, []Metrics) {
 	up := time.Since(s.start)
 	s.scaleMu.Lock()
@@ -1266,7 +1254,6 @@ func (s *Server) Snapshot() (Metrics, []Metrics) {
 		ScaleDowns: s.scaleDowns.Load(),
 	}
 	per := make([]Metrics, len(all))
-	var window []time.Duration
 	for i, sh := range all {
 		mt := Metrics{
 			Backend:    s.opts.Backend,
@@ -1287,8 +1274,7 @@ func (s *Server) Snapshot() (Metrics, []Metrics) {
 			InFlight:   int(sh.inflight.Load()),
 			IOParked:   int(sh.ioparked.Load()),
 			Uptime:     up,
-			Hist:       sh.m.histSnapshot(),
-			LatencySum: time.Duration(sh.m.latSum.Load()),
+			Latency:    sh.m.lat.Snapshot(),
 		}
 		if mt.QueueDepth < 0 {
 			mt.QueueDepth = 0 // transient: pop decrements before a racing push's increment lands
@@ -1296,15 +1282,10 @@ func (s *Server) Snapshot() (Metrics, []Metrics) {
 		if rt := sh.rt.Load(); rt != nil {
 			mt.Sched = rt.SchedStats()
 		}
-		w := sh.m.window()
 		if secs := up.Seconds(); secs > 0 {
 			mt.Throughput = float64(mt.Completed) / secs
 		}
-		if len(w) > 0 {
-			mt.Latency = microbench.Summarize(w)
-		}
 		per[i] = mt
-		window = append(window, w...)
 		agg.Submitted += mt.Submitted
 		agg.Completed += mt.Completed
 		agg.Saturated += mt.Saturated
@@ -1318,25 +1299,16 @@ func (s *Server) Snapshot() (Metrics, []Metrics) {
 		agg.QueueDepth += mt.QueueDepth
 		agg.InFlight += mt.InFlight
 		agg.IOParked += mt.IOParked
-		agg.LatencySum += mt.LatencySum
 		agg.Sched = agg.Sched.Plus(mt.Sched)
-		if agg.Hist == nil {
-			agg.Hist = make([]uint64, len(mt.Hist))
-		}
-		for b, v := range mt.Hist {
-			agg.Hist[b] += v
-		}
+		agg.Latency = agg.Latency.Add(mt.Latency)
 	}
 	if secs := up.Seconds(); secs > 0 {
 		agg.Throughput = float64(agg.Completed) / secs
 	}
-	if len(window) > 0 {
-		agg.Latency = microbench.Summarize(window)
-	}
 	return agg, per
 }
 
-// Metrics snapshots the server's counters and recent latency windows,
+// Metrics snapshots the server's counters and latency histograms,
 // aggregated across every shard (Metrics.Shard is -1). Use ShardMetrics
 // for the per-shard breakdown, or Snapshot for both in one pass.
 func (s *Server) Metrics() Metrics {
@@ -1344,7 +1316,7 @@ func (s *Server) Metrics() Metrics {
 	return agg
 }
 
-// ShardMetrics snapshots each shard's own counters and latency window;
+// ShardMetrics snapshots each shard's own counters and latency histogram;
 // entry i is shard i (Metrics.Shard = i). The sum over entries is
 // Metrics().
 func (s *Server) ShardMetrics() []Metrics {

@@ -250,8 +250,8 @@ func TestConcurrentProducers(t *testing.T) {
 	if m.Completed != producers*per {
 		t.Fatalf("Completed = %d, want %d", m.Completed, producers*per)
 	}
-	if m.Latency.Reps == 0 || m.Latency.P50 <= 0 || m.Latency.P99 < m.Latency.P50 {
-		t.Fatalf("latency summary implausible: %+v", m.Latency)
+	if p50, p99 := m.Latency.Quantile(0.5), m.Latency.Quantile(0.99); m.Latency.Total() == 0 || p50 <= 0 || p99 < p50 {
+		t.Fatalf("latency histogram implausible: %d requests, p50 %v, p99 %v", m.Latency.Total(), p50, p99)
 	}
 	if m.Throughput <= 0 {
 		t.Fatalf("Throughput = %v", m.Throughput)

@@ -44,18 +44,3 @@ func Open(cfg Config) (*Runtime, error) { return omplwt.Open(cfg) }
 
 // MustOpen is Open for known-good configurations; it panics on error.
 func MustOpen(cfg Config) *Runtime { return omplwt.MustOpen(cfg) }
-
-// New builds the layer over the named unified-API backend.
-//
-// Deprecated: New is the v1 positional constructor kept for migration;
-// use Open.
-func New(backend string, nthreads int) (*Runtime, error) {
-	return omplwt.New(backend, nthreads)
-}
-
-// MustNew is New for known-good arguments; it panics on error.
-//
-// Deprecated: use MustOpen.
-func MustNew(backend string, nthreads int) *Runtime {
-	return omplwt.MustNew(backend, nthreads)
-}
