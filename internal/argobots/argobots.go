@@ -128,6 +128,21 @@ func threadBody(self *ult.ULT, arg any) {
 	th.fn(&th.ctx)
 }
 
+// spawned is a detached ULT's body state (ThreadSpawn): the handle-free
+// counterpart of Thread, carrying the body, its argument and the
+// per-run context.
+type spawned struct {
+	ctx  Context
+	body func(*Context, any)
+	arg  any
+}
+
+func spawnBody(self *ult.ULT, arg any) {
+	sp := arg.(*spawned)
+	sp.ctx.self = self
+	sp.body(&sp.ctx, sp.arg)
+}
+
 // Task is a handle on an Argobots Tasklet, with the same post-free
 // discipline as Thread.
 type Task struct {
@@ -281,6 +296,23 @@ func (rt *Runtime) TaskCreateTo(fn func(), es int) *Task {
 	tk := &Task{rt: rt, t: ult.NewTasklet(fn)}
 	rt.pushTo(tk.t, es)
 	return tk
+}
+
+// TaskSpawn creates a detached Tasklet running body(arg), dealt like
+// TaskCreate. There is no handle and no per-create closure: nobody joins
+// the unit, its descriptor recycles at completion, and the caller learns
+// of completion through arg. In steady state the launch allocates
+// nothing.
+func (rt *Runtime) TaskSpawn(body func(any), arg any) {
+	rt.pushTo(ult.NewTaskletDetached(body, arg), rt.nextES())
+}
+
+// ThreadSpawn is TaskSpawn for a ULT: body receives the unit's Context
+// and arg. The launch allocates only the small body-state record; the
+// descriptor recycles at completion instead of waiting for a free.
+func (rt *Runtime) ThreadSpawn(body func(*Context, any), arg any) {
+	sp := &spawned{ctx: Context{rt: rt}, body: body, arg: arg}
+	rt.pushTo(ult.NewDetachedWith(spawnBody, sp), rt.nextES())
 }
 
 // ThreadCreateBulk creates one ULT per body and deals the batch across

@@ -354,3 +354,24 @@ func TestPoolKindString(t *testing.T) {
 		t.Fatal("PoolKind strings wrong")
 	}
 }
+
+// TestSpawnDetached runs detached tasklets and ULTs to completion:
+// each body sees its argument, and a ULT its Context.
+func TestSpawnDetached(t *testing.T) {
+	rt := Init(Config{XStreams: 2})
+	defer rt.Finalize()
+	var ran atomic.Int64
+	task := func(arg any) { arg.(*atomic.Int64).Add(1) }
+	thread := func(c *Context, arg any) {
+		c.Yield()
+		arg.(*atomic.Int64).Add(1)
+	}
+	const n = 200
+	for i := 0; i < n; i++ {
+		rt.TaskSpawn(task, &ran)
+		rt.ThreadSpawn(thread, &ran)
+	}
+	for ran.Load() != 2*n {
+		rt.Yield()
+	}
+}

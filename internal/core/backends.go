@@ -69,6 +69,9 @@ func modExec(executor, n int) int {
 type argoBackend struct {
 	rt    *argobots.Runtime
 	pools argobots.PoolKind
+	// ultBody is the detached ULT body (runSpawned), bound once at Init
+	// so Spawn does not build a method value per launch.
+	ultBody func(*argobots.Context, any)
 }
 
 type argoULT struct {
@@ -118,6 +121,7 @@ func (b *argoBackend) Init(cfg Config) error {
 		Pools:      b.pools,
 		BasePolicy: policyFor(cfg),
 	})
+	b.ultBody = b.runSpawned
 	return nil
 }
 
@@ -149,6 +153,23 @@ func (b *argoBackend) ULTCreateTo(executor int, fn func(Ctx)) Handle {
 
 func (b *argoBackend) TaskletCreate(fn func()) Handle {
 	return &argoTasklet{tk: b.rt.TaskCreate(fn)}
+}
+
+// Spawn implements Spawner over the substrate's detached creates: a
+// tasklet gets w as its argument, so the launch allocates nothing; a ULT
+// adds its context.
+func (b *argoBackend) Spawn(w Work, ult bool) {
+	if ult {
+		b.rt.ThreadSpawn(b.ultBody, w)
+		return
+	}
+	b.rt.TaskSpawn(runTasklet, w)
+}
+
+func runTasklet(w any) { w.(Work).Run(nil) }
+
+func (b *argoBackend) runSpawned(c *argobots.Context, w any) {
+	w.(Work).Run(&argoCtx{b: b, c: c})
 }
 
 // ULTCreateBulk implements BulkBackend over the substrate's batched

@@ -189,6 +189,22 @@ type BulkBackend interface {
 	TaskletCreateBulk(fns []func()) []Handle
 }
 
+// Work is the body of a detached work unit (Runtime.Spawn). Being an
+// interface, it lets a caller launch a pointer to its own state with no
+// per-launch closure.
+type Work interface {
+	// Run executes the body: c is the unit's cooperative context for a
+	// ULT and nil for a tasklet.
+	Run(c Ctx)
+}
+
+// Spawner is the optional Backend extension behind Runtime.Spawn: a
+// native handle-free launch.
+type Spawner interface {
+	// Spawn launches w as a detached ULT (ult) or tasklet.
+	Spawn(w Work, ult bool)
+}
+
 // Factory constructs an uninitialized backend.
 type Factory func() Backend
 
@@ -274,7 +290,8 @@ func (d Degradation) String() string {
 // shape: initialization_function .. finalize_function).
 type Runtime struct {
 	b    Backend
-	cfg  Config // granted configuration, after negotiation
+	sp   Spawner // b's native Spawn, nil when it has none
+	cfg  Config  // granted configuration, after negotiation
 	degs []Degradation
 }
 
@@ -319,7 +336,8 @@ func Open(cfg Config) (*Runtime, error) {
 	if err := b.Init(cfg); err != nil {
 		return nil, fmt.Errorf("core: init %q: %w", cfg.Backend, err)
 	}
-	return &Runtime{b: b, cfg: cfg, degs: degs}, nil
+	sp, _ := b.(Spawner)
+	return &Runtime{b: b, sp: sp, cfg: cfg, degs: degs}, nil
 }
 
 // schedulerGapReason words the scheduler degradation per Table I.
@@ -398,6 +416,24 @@ func (r *Runtime) ULTCreateTo(executor int, fn func(Ctx)) Handle {
 // TaskletCreate creates a tasklet or the backend's closest work unit
 // (Table II row "Tasklet creation").
 func (r *Runtime) TaskletCreate(fn func()) Handle { return r.b.TaskletCreate(fn) }
+
+// Spawn is the detached launch: it creates w as a ULT (ult set) or a
+// tasklet and returns nothing — no handle is built, nobody joins the
+// unit, and the caller learns of completion through w itself. Backends
+// implementing Spawner launch natively (Argobots passes w to a recycled
+// descriptor as its argument: no closure, no handle, no descriptor left
+// waiting for a free); elsewhere Spawn falls back to ULTCreate or
+// TaskletCreate and drops the handle.
+func (r *Runtime) Spawn(w Work, ult bool) {
+	switch {
+	case r.sp != nil:
+		r.sp.Spawn(w, ult)
+	case ult:
+		r.b.ULTCreate(w.Run)
+	default:
+		r.b.TaskletCreate(func() { w.Run(nil) })
+	}
+}
 
 // ULTCreateBulk creates one ULT per body in a single submission: on
 // backends with native bulk support the batch pays the pool

@@ -221,3 +221,37 @@ func TestJoinOnCompletedHandle(t *testing.T) {
 		r.Finalize()
 	}
 }
+
+// spawnCount is a detached body recording how it ran.
+type spawnCount struct{ ran, ults *atomic.Int64 }
+
+func (w spawnCount) Run(c Ctx) {
+	if c != nil {
+		c.Yield()
+		w.ults.Add(1)
+	}
+	w.ran.Add(1)
+}
+
+// TestSpawnDetached launches handle-free work on every backend — the
+// native Spawner and the create-and-drop fallback alike: every unit
+// runs, and exactly the ULT-shaped ones get a context.
+func TestSpawnDetached(t *testing.T) {
+	for _, name := range allBackends() {
+		t.Run(name, func(t *testing.T) {
+			r := MustOpen(Config{Backend: name, Executors: 2})
+			defer r.Finalize()
+			var ran, ults atomic.Int64
+			const n = 64
+			for i := 0; i < n; i++ {
+				r.Spawn(spawnCount{&ran, &ults}, i%2 == 0)
+			}
+			for ran.Load() != n {
+				r.Yield()
+			}
+			if got := ults.Load(); got != n/2 {
+				t.Fatalf("%d units ran with a context, want %d", got, n/2)
+			}
+		})
+	}
+}

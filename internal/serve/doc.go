@@ -25,12 +25,21 @@
 // Every runtime interaction — creation, yielding, finalization — happens
 // on the owning shard's pump goroutine, so backends whose master must
 // drive its own scheduler (Converse's return mode, §VIII-B1) serve
-// traffic exactly like preemptive ones. Admission control is two-level:
-// a full shard re-routes one submission once (to the least-loaded shard)
-// before a non-blocking Do surfaces ErrSaturated, a blocking Do parks on
-// the least-loaded shard, and Close is a graceful drain — admission
-// stops, every shard runs down its queues (bounded by
-// Options.DrainTimeout), and every accepted Future resolves.
+// traffic exactly like preemptive ones. Admission is one counter per
+// shard: a submission is accepted by a CAS increment of the shard's
+// queued count below QueueDepth, and the pump's dequeue decrements it.
+// Control is two-level: a full shard re-routes one submission once (to
+// the least-loaded shard) before a non-blocking Do surfaces
+// ErrSaturated, a blocking Do parks on the least-loaded shard until a
+// dequeue signals it, and Close is a graceful drain — admission stops,
+// every shard runs down its queues (bounded by Options.DrainTimeout),
+// and every accepted Future resolves.
+//
+// A request costs one heap object from Do to completion: its call
+// record holds the queue entry, the Future and the body, and the pump
+// launches it as a detached work unit (core.Runtime.Spawn) that keeps
+// no handle. The Future's channel is made only for a waiter that has to
+// block.
 //
 // # Idle executors
 //

@@ -89,7 +89,7 @@ func (s *Server) grow() bool {
 	if s.closed.Load() {
 		return false
 	}
-	cur := *s.set.Load()
+	cur := s.shards()
 	if len(cur) >= s.opts.Scale.MaxShards {
 		return false
 	}
@@ -112,7 +112,7 @@ func (s *Server) grow() bool {
 		s.all = append(s.all, sh)
 	}
 	next := append(append(make([]*shard, 0, len(cur)+1), cur...), sh)
-	s.set.Store(&next)
+	s.publish(next)
 	s.scaleUps.Add(1)
 	s.scaleRing.Instant(trace.KindUser, uint64(len(next)))
 	return true
@@ -129,7 +129,7 @@ func (s *Server) shrink() bool {
 	if s.closed.Load() {
 		return false
 	}
-	cur := *s.set.Load()
+	cur := s.shards()
 	if len(cur) <= s.base {
 		return false
 	}
@@ -138,7 +138,7 @@ func (s *Server) shrink() bool {
 		return false // base shard at the tail; routing set never reorders, so this cannot happen
 	}
 	next := append(make([]*shard, 0, i), cur[:i]...)
-	s.set.Store(&next)
+	s.publish(next)
 	s.scaleDowns.Add(1)
 	s.scaleRing.Instant(trace.KindUser, uint64(len(next)))
 	return true

@@ -172,7 +172,8 @@ type Req struct {
 	NonBlocking bool
 }
 
-// request is one queued submission.
+// request is one queued submission: the untyped half of a call, which
+// is all that admission, the queues, the pump and finish handle.
 type request struct {
 	id    uint64
 	shard *shard          // shard accountable for the request; thief overwrites at steal
@@ -192,12 +193,88 @@ type request struct {
 	cancelOnce sync.Once
 	cancelCh   <-chan struct{}
 	stopCancel func()
-	// run executes the body and resolves the Future; the Ctx is nil
-	// for tasklet-shaped bodies.
-	run func(core.Ctx)
+	// hctx is the handler's context of a ULT-shaped request, built at
+	// run time in place so handing it out allocates nothing.
+	hctx requestCtx
+	// w is the typed half: the *call[T] this request is embedded in.
+	w work
+}
+
+// work is how a request reaches its typed half. The interface value
+// holds the *call[T] pointer, so storing it allocates nothing.
+type work interface {
+	// Run executes the body and resolves the Future; the Ctx is nil for
+	// tasklet-shaped bodies. It is the detached work unit the pump
+	// launches (core.Runtime.Spawn).
+	core.Work
 	// fail resolves the Future with an error without running the body
 	// (cancellation and shutdown paths).
-	fail func(error)
+	fail(err error)
+}
+
+// call is one submission in a single heap object: the request, the
+// Future the caller holds, and the body — fn for Do, ufn for DoULT. It
+// is not pooled: the caller keeps the Future, and with it the call, for
+// as long as it likes.
+type call[T any] struct {
+	request
+	Future[T]
+	fn  func() (T, error)
+	ufn func(core.Ctx) (T, error)
+}
+
+// newCall builds the call for one submission. The latency clock (enq)
+// starts here, before admission: for a blocking Do the time spent
+// waiting on a full queue is part of the request's end-to-end latency.
+// That is deliberate — measuring from intended arrival rather than from
+// admission is what keeps open-loop percentiles honest under
+// backpressure (no coordinated omission).
+func newCall[T any](s *Server, ctx context.Context, deadline time.Time, fn func() (T, error), ufn func(core.Ctx) (T, error)) *call[T] {
+	c := &call[T]{fn: fn, ufn: ufn}
+	c.id = s.nextID.Add(1)
+	c.ctx = ctx
+	c.ult = ufn != nil
+	c.enq = time.Now()
+	c.deadline = deadline
+	c.w = c
+	return c
+}
+
+func (c *call[T]) fail(err error) {
+	var zero T
+	c.complete(zero, err)
+}
+
+// Run implements core.Work: run the body on the backend work unit,
+// resolve the Future, and settle the shard's accounting. A panic is
+// contained here and resolves the Future with a *PanicError.
+func (c *call[T]) Run(cx core.Ctx) {
+	r := &c.request
+	sh := r.shard
+	defer func() {
+		if p := recover(); p != nil {
+			sh.m.panicked.Add(1)
+			var zero T
+			c.complete(zero, &PanicError{Value: p, Stack: debug.Stack()})
+		}
+		sh.finish(r)
+	}()
+	var v T
+	var err error
+	if c.ufn != nil {
+		r.hctx = requestCtx{Ctx: cx, r: r}
+		var hc core.Ctx = &r.hctx
+		if _, ok := cx.(ioParkable); ok {
+			hc = parkRequestCtx{&r.hctx}
+		}
+		v, err = c.ufn(hc)
+	} else {
+		v, err = c.fn()
+	}
+	if err != nil {
+		sh.m.failed.Add(1)
+	}
+	c.complete(v, err)
 }
 
 // cancelSignal lazily builds the channel handlers and aio waits watch:
@@ -224,19 +301,29 @@ func (r *request) cancelSignal() <-chan struct{} {
 // shard is one independent serving lane: a backend runtime, its bounded
 // queues, its pump goroutine, and its slice of the metrics.
 //
-// Admission is a token semaphore over two channels: slots caps the
-// shard's total accepted-but-unlaunched requests at QueueDepth, and a
-// holder of a token pushes into keyed or unkeyed, each sized to the
-// full depth so the post-token send can never block. The split is what
-// makes stealing safe by construction — Go channels are MPMC, so any
-// idle pump may receive from another shard's unkeyed channel, while
-// the keyed channel has exactly one consumer: the owning pump.
+// Admission is a counter: queued caps the shard's accepted-but-
+// unlaunched requests at QueueDepth with a CAS increment (admit), and
+// every receive from either queue decrements it (pop). An admitted
+// request is sent into keyed or unkeyed, each sized to the full depth,
+// so the send never blocks: a request is counted before it is sent and
+// received before it is uncounted, so queued never leaves
+// [0, QueueDepth]. A producer blocked on a full shard waits on space,
+// counted in waiters; a pop signals space only while waiters is
+// non-zero, and the woken producer passes the signal on while room and
+// waiters remain, so one one-slot channel wakes any number of them.
+// The queue split is what makes stealing safe by construction — Go
+// channels are MPMC, so any idle pump may receive from another shard's
+// unkeyed channel, while the keyed channel has exactly one consumer:
+// the owning pump.
 type shard struct {
 	s       *Server
 	id      int
 	keyed   chan *request // drained only by the owning pump — affinity
 	unkeyed chan *request // drained by the owner and by stealing pumps
-	slots   chan struct{} // admission tokens; cap = QueueDepth over both queues
+	// space is the one-slot wake of producers parked on a full shard;
+	// waiters counts them.
+	space   chan struct{}
+	waiters atomic.Int64
 
 	inflight atomic.Int64 // launched-but-unfinished work units
 	// ioparked counts the subset of inflight currently parked on the
@@ -247,7 +334,7 @@ type shard struct {
 	// concurrency; the drain loop keeps watching total inflight, because
 	// a parked handler still owes a completion.
 	ioparked atomic.Int64
-	queued   atomic.Int64 // accepted-but-unlaunched requests, both queues
+	queued   atomic.Int64 // admission counter: accepted-but-unlaunched, both queues
 	m        metrics
 	done     chan struct{} // pump exited, runtime finalized
 	// ring is the shard's request lane in the flight recorder. It is
@@ -319,17 +406,48 @@ func (sh *shard) queueFor(r *request) chan *request {
 	return sh.unkeyed
 }
 
-// push settles the admission accounting and buffers one request whose
-// token the caller already holds — the single place the accepted-
-// submission counters are bumped, shared by the non-blocking and
-// parked paths. The channel send cannot block: each queue's capacity
-// matches the token count. The push then kicks the shard's pump, and
-// with stealing on, an unkeyed backlog reaching stealKickDepth also
-// wakes a parked peer to steal it.
+// admit claims one queue slot: a CAS increment of queued below
+// QueueDepth. It reports false on a full shard.
+func (sh *shard) admit() bool {
+	depth := int64(sh.s.opts.QueueDepth)
+	for {
+		n := sh.queued.Load()
+		if n >= depth {
+			return false
+		}
+		if sh.queued.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// signal wakes one producer parked on the shard's space; with a wake
+// already pending it is a no-op.
+func (sh *shard) signal() {
+	select {
+	case sh.space <- struct{}{}:
+	default:
+	}
+}
+
+// unwait ends a producer's park, admitted or given up: with room and
+// waiters left it passes the wake on, since a pop's signal reached one
+// waiter only.
+func (sh *shard) unwait() {
+	if sh.waiters.Add(-1) > 0 && sh.queued.Load() < int64(sh.s.opts.QueueDepth) {
+		sh.signal()
+	}
+}
+
+// push buffers one admitted request — the single place the accepted-
+// submission counter is bumped, shared by the non-blocking and parked
+// paths. The channel send cannot block: each queue's capacity is the
+// admission bound. The push then kicks the shard's pump, and with
+// stealing on, an unkeyed backlog reaching stealKickDepth also wakes a
+// parked peer to steal it.
 func (sh *shard) push(r *request) {
 	r.shard = sh
 	q := sh.queueFor(r)
-	sh.queued.Add(1)
 	sh.m.submitted.Add(1)
 	q <- r
 	sh.kick()
@@ -351,19 +469,19 @@ func (s *Server) kickThief(victim *shard) {
 	}
 }
 
-// pop settles the dequeue side: one queued-counter decrement and one
-// token release per request received from either channel, whether by
-// the owning pump or a stealing one.
+// pop settles the dequeue side of one request received from either
+// channel, whether by the owning pump or a stealing one: the admission
+// counter drops, and a producer parked on the full shard is woken.
 func (sh *shard) pop() {
 	sh.queued.Add(-1)
-	<-sh.slots
+	if sh.waiters.Load() > 0 {
+		sh.signal()
+	}
 }
 
 // tryEnqueue is the non-blocking admission step onto this shard.
 func (sh *shard) tryEnqueue(r *request) bool {
-	select {
-	case sh.slots <- struct{}{}:
-	default:
+	if !sh.admit() {
 		return false
 	}
 	sh.push(r)
@@ -383,7 +501,7 @@ type Server struct {
 	// on, read lock-free on the submit fast path and swapped whole by
 	// the autoscaler under scaleMu. Base shards are always members;
 	// dynamic shards come and go.
-	set atomic.Pointer[[]*shard]
+	set atomic.Pointer[routeSet]
 	// all is every shard ever started, base and dynamic, in id order —
 	// the metrics domain. A scaled-down shard leaves the routing set
 	// but stays here: its counters remain visible (and monotonic) and
@@ -508,8 +626,7 @@ func New(opts Options) (*Server, error) {
 	// Publish the routing set before any pump starts: an idle stealing
 	// pump scans it immediately.
 	s.baseShards = s.all
-	set := append([]*shard(nil), s.all...)
-	s.set.Store(&set)
+	s.publish(append([]*shard(nil), s.all...))
 	ready := make(chan error, opts.Shards)
 	for _, sh := range s.all {
 		go sh.pump(ready)
@@ -539,7 +656,7 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// newShard builds one shard's queues, token pool and trace lane; the
+// newShard builds one shard's queues, wake channel and trace lane; the
 // caller starts its pump. Used by New for the base shards and by the
 // autoscaler for dynamic ones.
 func (s *Server) newShard(id int) *shard {
@@ -548,7 +665,7 @@ func (s *Server) newShard(id int) *shard {
 		id:      id,
 		keyed:   make(chan *request, s.opts.QueueDepth),
 		unkeyed: make(chan *request, s.opts.QueueDepth),
-		slots:   make(chan struct{}, s.opts.QueueDepth),
+		space:   make(chan struct{}, 1),
 		done:    make(chan struct{}),
 		ring:    s.rec.SharedRing(fmt.Sprintf("serve/%s/shard%d", s.opts.Backend, id), -(id + 1)),
 	}
@@ -569,7 +686,7 @@ func (s *Server) Backend() string { return s.opts.Backend }
 
 // NumShards reports the routing set's current size: base shards plus
 // live dynamic shards. It changes over time when autoscaling is armed.
-func (s *Server) NumShards() int { return len(*s.set.Load()) }
+func (s *Server) NumShards() int { return len(s.shards()) }
 
 // Router reports the router spreading unkeyed submissions.
 func (s *Server) Router() Router { return s.router }
@@ -584,8 +701,22 @@ func (s *Server) Layout() string { return s.layout }
 // the base shard count only, so autoscaling never remaps them.
 func (s *Server) ShardOf(key string) int { return keyShard(key, s.base) }
 
+// routeSet is one published routing set with its router load probe,
+// built once per set so a Pick passes the probe without allocating a
+// closure per submission.
+type routeSet struct {
+	shards []*shard
+	load   func(i int) int // shards[i].load()
+}
+
+// publish swaps in a new routing set; the autoscaler calls it under
+// scaleMu.
+func (s *Server) publish(set []*shard) {
+	s.set.Store(&routeSet{shards: set, load: func(i int) int { return set[i].load() }})
+}
+
 // shards returns the current routing set, one atomic load.
-func (s *Server) shards() []*shard { return *s.set.Load() }
+func (s *Server) shards() []*shard { return s.set.Load().shards }
 
 // leastLoaded scans the routing set for the shard with the smallest
 // depth — the re-route target and the blocking submit's parking spot.
@@ -835,22 +966,18 @@ func (sh *shard) launch(rt *core.Runtime, r *request) {
 		if err := r.ctx.Err(); err != nil {
 			sh.m.expired.Add(1)
 			sh.ring.Instant(trace.KindCancel, r.id)
-			r.fail(err)
+			r.w.fail(err)
 			return
 		}
 	}
 	if !r.deadline.IsZero() && !time.Now().Before(r.deadline) {
 		sh.m.expired.Add(1)
 		sh.ring.Instant(trace.KindCancel, r.id)
-		r.fail(ErrExpired)
+		r.w.fail(ErrExpired)
 		return
 	}
 	sh.inflight.Add(1)
-	if r.ult {
-		rt.ULTCreate(r.run)
-	} else {
-		rt.TaskletCreate(func() { r.run(nil) })
-	}
+	rt.Spawn(r.w, r.ult)
 }
 
 // shutdown drains one shard on its pump goroutine: accepted requests
@@ -877,7 +1004,7 @@ func (sh *shard) shutdown(rt *core.Runtime, park func()) {
 	reject := func(r *request) {
 		sh.pop()
 		sh.m.rejected.Add(1)
-		r.fail(ErrClosed)
+		r.w.fail(ErrClosed)
 	}
 	// Run everything accepted before Close, paced at MaxInFlight so the
 	// drain cannot overload the backend. Past the deadline, requests
@@ -991,13 +1118,14 @@ type ioParkable interface {
 // cooperative cancellation signal: CancelCh (core.Canceler) is what
 // lets a running handler — and the aio waits it issues — observe that
 // its deadline passed or its client went away. The signal is built
-// lazily, so handlers that never look pay nothing.
+// lazily, so handlers that never look pay nothing. It lives in its
+// request and is handed out by pointer.
 type requestCtx struct {
 	core.Ctx
 	r *request
 }
 
-func (c requestCtx) CancelCh() <-chan struct{} { return c.r.cancelSignal() }
+func (c *requestCtx) CancelCh() <-chan struct{} { return c.r.cancelSignal() }
 
 // parkRequestCtx is requestCtx on AsyncIO backends, adding the
 // park-counting IOPark so the shard can tell which in-flight work
@@ -1008,15 +1136,15 @@ func (c requestCtx) CancelCh() <-chan struct{} { return c.r.cancelSignal() }
 // suspension with the ioparked counter — both adjustments run on the
 // work unit's own goroutine (before suspending, after resuming), so
 // the accounting is exact, not sampled. A park that frees room under a
-// non-empty queue kicks the pump, which may be parked at the cap.
+// non-empty queue kicks the pump, which may be parked at the cap. A
+// single pointer, so converting it to a core.Ctx allocates nothing.
 type parkRequestCtx struct {
-	requestCtx
-	sh *shard
+	*requestCtx
 }
 
 func (c parkRequestCtx) IOPark() (func(), func()) {
 	park, unpark := c.Ctx.(ioParkable).IOPark()
-	sh := c.sh
+	sh := c.r.shard
 	counted := func() {
 		sh.ioparked.Add(1)
 		if sh.queued.Load() > 0 && sh.room() > 0 {
@@ -1040,52 +1168,6 @@ type Submitter struct {
 // Server returns the owning server (for metrics access from handlers).
 func (sub *Submitter) Server() *Server { return sub.s }
 
-// makeRequest builds the queue entry and Future for one submission.
-// The latency clock (enq) starts here, before admission: for a blocking
-// Do the time spent waiting on a full queue is part of the request's
-// end-to-end latency. That is deliberate — measuring from intended
-// arrival rather than from admission is what keeps open-loop percentiles
-// honest under backpressure (no coordinated omission).
-func makeRequest[T any](s *Server, ctx context.Context, deadline time.Time, ult bool, fn func(core.Ctx) (T, error)) (*request, *Future[T]) {
-	f := newFuture[T]()
-	r := &request{
-		id:       s.nextID.Add(1),
-		ctx:      ctx,
-		ult:      ult,
-		enq:      time.Now(),
-		deadline: deadline,
-	}
-	r.fail = func(err error) {
-		var zero T
-		f.complete(zero, err)
-	}
-	r.run = func(c core.Ctx) {
-		sh := r.shard
-		if c != nil {
-			rc := requestCtx{Ctx: c, r: r}
-			if _, ok := c.(ioParkable); ok {
-				c = parkRequestCtx{requestCtx: rc, sh: sh}
-			} else {
-				c = rc
-			}
-		}
-		defer func() {
-			if p := recover(); p != nil {
-				sh.m.panicked.Add(1)
-				var zero T
-				f.complete(zero, &PanicError{Value: p, Stack: debug.Stack()})
-			}
-			sh.finish(r)
-		}()
-		v, err := fn(c)
-		if err != nil {
-			sh.m.failed.Add(1)
-		}
-		f.complete(v, err)
-	}
-	return r, f
-}
-
 // Do submits fn as a tasklet-shaped request (stackless body, no
 // cooperative context) with the options in req — the single entry
 // point the legacy Submit*/TrySubmit* permutations collapse into.
@@ -1096,27 +1178,58 @@ func makeRequest[T any](s *Server, ctx context.Context, deadline time.Time, ult 
 // to its key's base shard, Req.Deadline sets an explicit budget, and
 // Req.NonBlocking turns a full queue into an immediate ErrSaturated.
 func Do[T any](sub *Submitter, ctx context.Context, fn func() (T, error), req Req) (*Future[T], error) {
-	return do(sub, ctx, false, func(core.Ctx) (T, error) { return fn() }, req)
+	return do(sub, ctx, req, fn, nil)
 }
 
 // DoULT is Do for stackful request bodies: fn receives the cooperative
 // context, so it can spawn and join child work units (nested
 // parallelism on the serving runtime) and issue cancelable aio waits.
 func DoULT[T any](sub *Submitter, ctx context.Context, fn func(core.Ctx) (T, error), req Req) (*Future[T], error) {
-	return do(sub, ctx, true, fn, req)
+	return do[T](sub, ctx, req, nil, fn)
 }
 
 // do resolves Req into the admission path: key to pin, NonBlocking to
-// fast-reject versus park.
-func do[T any](sub *Submitter, ctx context.Context, ult bool, fn func(core.Ctx) (T, error), req Req) (*Future[T], error) {
+// fast-reject versus park. Exactly one of fn and ufn is set.
+func do[T any](sub *Submitter, ctx context.Context, req Req, fn func() (T, error), ufn func(core.Ctx) (T, error)) (*Future[T], error) {
+	s := sub.s
+	s.active.Add(1)
+	defer s.leave()
+	if s.closed.Load() {
+		return nil, ErrClosed
+	}
 	pin := -1
 	if req.Key != "" {
-		pin = sub.s.ShardOf(req.Key)
+		pin = s.ShardOf(req.Key)
 	}
+	deadline, adopted := req.Deadline, false // adopted: from ctx, whose Done covers the park
+	if !req.NonBlocking && ctx != nil {
+		if dl, ok := ctx.Deadline(); ok && (deadline.IsZero() || dl.Before(deadline)) {
+			deadline, adopted = dl, true
+		}
+	}
+	c := newCall(s, ctx, deadline, fn, ufn)
+	var err error
 	if req.NonBlocking {
-		return trySubmit(sub, ctx, req.Deadline, pin, ult, fn)
+		err = s.trySubmit(&c.request, pin)
+	} else {
+		err = s.submit(&c.request, pin, adopted)
 	}
-	return submit(sub, ctx, req.Deadline, pin, ult, fn)
+	if err != nil {
+		return nil, err
+	}
+	return &c.Future, nil
+}
+
+// route picks the shard for one submission: the pinned base shard for
+// a keyed request (pin >= 0), the router's pick over the routing set
+// otherwise.
+func (s *Server) route(r *request, pin int) *shard {
+	if pin >= 0 {
+		r.keyed = true
+		return s.keyedShard(pin)
+	}
+	rs := s.set.Load()
+	return rs.shards[s.router.Pick(len(rs.shards), rs.load)]
 }
 
 // trySubmit is the non-blocking admission path with two-level admission:
@@ -1124,33 +1237,18 @@ func do[T any](sub *Submitter, ctx context.Context, ult bool, fn func(core.Ctx) 
 // request is re-routed once to the least-loaded shard before
 // ErrSaturated surfaces. pin >= 0 bypasses the router and disables the
 // re-route (keyed affinity).
-func trySubmit[T any](sub *Submitter, ctx context.Context, deadline time.Time, pin int, ult bool, fn func(core.Ctx) (T, error)) (*Future[T], error) {
-	s := sub.s
-	s.active.Add(1)
-	defer s.leave()
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	r, f := makeRequest(s, ctx, deadline, ult, fn)
-	if pin >= 0 {
-		r.keyed = true
-		sh := s.keyedShard(pin)
-		if sh.tryEnqueue(r) {
-			return f, nil
-		}
-		sh.m.saturated.Add(1)
-		return nil, ErrSaturated
-	}
-	set := s.shards()
-	sh := set[s.router.Pick(len(set), func(i int) int { return set[i].load() })]
+func (s *Server) trySubmit(r *request, pin int) error {
+	sh := s.route(r, pin)
 	if sh.tryEnqueue(r) {
-		return f, nil
+		return nil
 	}
-	if alt := leastLoaded(set); alt != sh && alt.tryEnqueue(r) {
-		return f, nil
+	if pin < 0 {
+		if alt := leastLoaded(s.shards()); alt != sh && alt.tryEnqueue(r) {
+			return nil
+		}
 	}
 	sh.m.saturated.Add(1)
-	return nil, ErrSaturated
+	return ErrSaturated
 }
 
 // keyedShard resolves a keyed pin onto its base shard. baseShards is
@@ -1166,41 +1264,21 @@ func (s *Server) keyedShard(pin int) *shard {
 // affinity). A deadline — explicit, or adopted from the submission
 // context — bounds the park too: a request that cannot even enqueue
 // inside its budget returns ErrExpired instead of blocking past it.
-func submit[T any](sub *Submitter, ctx context.Context, deadline time.Time, pin int, ult bool, fn func(core.Ctx) (T, error)) (*Future[T], error) {
-	s := sub.s
-	s.active.Add(1)
-	defer s.leave()
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	adopted := false // deadline came from ctx, whose Done covers the park
-	if ctx != nil {
-		if dl, ok := ctx.Deadline(); ok && (deadline.IsZero() || dl.Before(deadline)) {
-			deadline = dl
-			adopted = true
-		}
-	}
-	r, f := makeRequest(s, ctx, deadline, ult, fn)
-	var sh *shard
-	if pin >= 0 {
-		r.keyed = true
-		sh = s.keyedShard(pin)
-	} else {
-		set := s.shards()
-		sh = set[s.router.Pick(len(set), func(i int) int { return set[i].load() })]
-	}
+func (s *Server) submit(r *request, pin int, adopted bool) error {
+	sh := s.route(r, pin)
 	if sh.tryEnqueue(r) {
-		return f, nil
+		return nil
 	}
 	if pin < 0 {
 		sh = leastLoaded(s.shards())
 	}
+	ctx := r.ctx
 	var cancel <-chan struct{}
 	if ctx != nil {
 		cancel = ctx.Done()
 	}
 	var expire <-chan time.Time
-	if !deadline.IsZero() && !adopted {
+	if !r.deadline.IsZero() && !adopted {
 		// The timer arms only on the blocked path — a queue with room
 		// never pays for it — and only for an explicit deadline: one
 		// adopted from ctx is already enforced by ctx.Done, and racing
@@ -1208,28 +1286,36 @@ func submit[T any](sub *Submitter, ctx context.Context, deadline time.Time, pin 
 		// ErrExpired where callers armed DeadlineExceeded. Either way
 		// the submission was never accepted, so it counts as
 		// canceled-at-submit, outside the drain identity.
-		tm := time.NewTimer(time.Until(deadline))
+		tm := time.NewTimer(time.Until(r.deadline))
 		defer tm.Stop()
 		expire = tm.C
 	}
-	select {
-	case sh.slots <- struct{}{}:
-		sh.push(r)
-		return f, nil
-	case <-cancel:
-		sh.m.canceled.Add(1)
-		return nil, ctx.Err()
-	case <-expire:
-		sh.m.canceled.Add(1)
-		// A deadline adopted from ctx races ctx.Done here; surface the
-		// context's own error so callers see the sentinel they armed.
-		if ctx != nil && ctx.Err() != nil {
-			return nil, ctx.Err()
+	// Park as a counted waiter until a slot frees: every pop with waiters
+	// present signals space, and the waiter re-tries admission. Counting
+	// in before the first try closes the race with pop — either the try
+	// sees the freed slot or the pop sees the waiter.
+	sh.waiters.Add(1)
+	defer sh.unwait()
+	for !sh.admit() {
+		select {
+		case <-sh.space:
+		case <-cancel:
+			sh.m.canceled.Add(1)
+			return ctx.Err()
+		case <-expire:
+			sh.m.canceled.Add(1)
+			// A deadline adopted from ctx races ctx.Done here; surface the
+			// context's own error so callers see the sentinel they armed.
+			if ctx != nil && ctx.Err() != nil {
+				return ctx.Err()
+			}
+			return ErrExpired
+		case <-s.quit:
+			return ErrClosed
 		}
-		return nil, ErrExpired
-	case <-s.quit:
-		return nil, ErrClosed
 	}
+	sh.push(r)
+	return nil
 }
 
 // Snapshot reads the server's counters and latency histograms once and
@@ -1275,9 +1361,6 @@ func (s *Server) Snapshot() (Metrics, []Metrics) {
 			IOParked:   int(sh.ioparked.Load()),
 			Uptime:     up,
 			Latency:    sh.m.lat.Snapshot(),
-		}
-		if mt.QueueDepth < 0 {
-			mt.QueueDepth = 0 // transient: pop decrements before a racing push's increment lands
 		}
 		if rt := sh.rt.Load(); rt != nil {
 			mt.Sched = rt.SchedStats()

@@ -311,6 +311,17 @@ func NewWith(body BodyFunc, arg any) *ULT {
 	return t
 }
 
+// NewDetachedWith is NewWith for a unit nobody will join or free: the
+// Free party of the descriptor's release pair is settled at creation,
+// so the trampoline's terminal release recycles it. The creator must
+// not touch the unit once it is in a pool; completion is observable
+// only through what the body itself publishes.
+func NewDetachedWith(body BodyFunc, arg any) *ULT {
+	t := NewWith(body, arg)
+	t.releases.Store(1)
+	return t
+}
+
 // acquire pops a recycled descriptor from the freelist, or builds a
 // fresh one. No goroutine is involved until the first dispatch.
 func acquire() *ULT {
@@ -323,9 +334,6 @@ func acquire() *ULT {
 		t.owner = nil
 		t.err = nil
 		t.label = ""
-		t.fn = nil
-		t.bodyFn = nil
-		t.bodyArg = nil
 		t.unpooled = false
 		t.bound = false
 		t.waitCh.Store(nil)
@@ -438,6 +446,11 @@ func (t *ULT) release() {
 	if t.noRecycle.Load() {
 		return
 	}
+	// A recycled descriptor must not pin its last body's state while it
+	// waits in the freelist.
+	t.fn = nil
+	t.bodyFn = nil
+	t.bodyArg = nil
 	select {
 	case ultFree <- t:
 	default:
@@ -591,9 +604,6 @@ func (t *ULT) Free() error {
 	if !t.freed.CompareAndSwap(false, true) {
 		return ErrFreed
 	}
-	t.fn = nil
-	t.bodyFn = nil
-	t.bodyArg = nil
 	t.release()
 	return nil
 }
@@ -664,6 +674,10 @@ type Tasklet struct {
 	fn     TaskletFunc
 	status atomic.Int32
 	freed  atomic.Bool
+	// bodyFn/bodyArg are the closure-free body form (NewTaskletDetached),
+	// the tasklet counterpart of ULT.bodyFn.
+	bodyFn  func(arg any)
+	bodyArg any
 	// err records a panic recovered from the body; read after Done.
 	err error
 	// doneCh is allocated eagerly by NewTaskletWithDone for callers that
@@ -695,6 +709,20 @@ func NewTasklet(fn TaskletFunc) *Tasklet {
 	t.id = nextID()
 	t.fn = fn
 	t.status.Store(int32(StatusCreated))
+	return t
+}
+
+// NewTaskletDetached creates a tasklet that runs body(arg) — no
+// per-create closure — and that nobody will join or free: the Free party
+// of its release pair is settled at creation, so completion recycles
+// the descriptor. This is the handle-free launch of a caller that
+// learns of completion through arg itself. The creator must not touch
+// the tasklet once it is in a pool.
+func NewTaskletDetached(body func(arg any), arg any) *Tasklet {
+	t := NewTasklet(nil)
+	t.bodyFn = body
+	t.bodyArg = arg
+	t.releases.Store(1)
 	return t
 }
 
@@ -761,6 +789,10 @@ func (t *Tasklet) run(e *Executor) {
 				t.err = fmt.Errorf("ult: tasklet %d panicked: %v", t.id, r)
 			}
 		}()
+		if t.bodyFn != nil {
+			t.bodyFn(t.bodyArg)
+			return
+		}
 		t.fn()
 	}()
 	t.status.Store(int32(StatusDone))
@@ -780,6 +812,9 @@ func (t *Tasklet) run(e *Executor) {
 // completion publication.
 func (t *Tasklet) release() {
 	if t.releases.Add(1) == releaseParties {
+		t.fn = nil
+		t.bodyFn = nil
+		t.bodyArg = nil
 		taskletPool.Put(t)
 	}
 }
@@ -802,7 +837,6 @@ func (t *Tasklet) Free() error {
 	if !t.freed.CompareAndSwap(false, true) {
 		return ErrFreed
 	}
-	t.fn = nil
 	t.release()
 	return nil
 }
