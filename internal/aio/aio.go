@@ -12,12 +12,13 @@ import (
 // Park suspends the calling work unit until Unpark; it must be called by
 // the unit itself, exactly once per issued operation, immediately after
 // the operation is registered. Unpark resumes the unit into its home
-// pool; the reactor calls it exactly once, after the operation's results
-// are published. Unpark may be called from any goroutine and may spin
-// briefly until the unit has actually parked (the ResumeAndRequeue
-// contract), which is why the park must be unconditional: checking for
-// completion first and skipping the park would leave the reactor
-// spinning against a unit that never suspends.
+// pool; the operation's completer calls it exactly once, after the
+// results are published. Unpark may be called from any goroutine and
+// may spin briefly until the unit has actually parked (the
+// ResumeAndRequeue contract), which is why the park must be
+// unconditional: checking for completion first and skipping the park
+// would leave the completer spinning against a unit that never
+// suspends.
 type Parker interface {
 	Park()
 	Unpark()
@@ -39,8 +40,8 @@ func (p pollParker) Unpark() {}
 func PollParker(yield func()) Parker { return pollParker{yield: yield} }
 
 // wait blocks the issuing work unit until o completes. Parking mode
-// parks exactly once — the reactor's completion store happens-before the
-// Unpark that makes Park return, so the check afterwards is a safety
+// parks exactly once — the completer's completion store happens-before
+// the Unpark that makes Park return, so the check afterwards is a safety
 // net, not a spin. Poll mode (nil parker) yields between checks.
 func wait(o *op, g uint64, yield func()) {
 	if o.parker != nil {
@@ -157,17 +158,14 @@ type deadlineWriter interface {
 	SetWriteDeadline(t time.Time) error
 }
 
-// ioQuantum bounds each attempt a portable completer goroutine makes:
-// long enough that a healthy descriptor almost always completes in one
-// attempt, short enough that the loop re-checks the world at a human
-// timescale.
+// ioQuantum bounds each attempt a completer goroutine makes: long enough
+// that a healthy descriptor almost always completes in one attempt,
+// short enough that the loop re-checks the world at a human timescale.
 const ioQuantum = 50 * time.Millisecond
 
-// runAttempts drives o to completion from a completer goroutine — the
-// portable path when no readiness engine is compiled in or the
-// descriptor could not be armed. Each attempt is bounded by ioQuantum,
-// so the goroutine revisits the loop instead of blocking forever in a
-// single call.
+// runAttempts drives o to completion from its completer goroutine. Each
+// attempt is bounded by ioQuantum, so the goroutine revisits the loop
+// instead of blocking forever in a single call.
 func runAttempts(o *op) {
 	for {
 		done, n, err := o.attempt(ioQuantum)
@@ -179,11 +177,10 @@ func runAttempts(o *op) {
 }
 
 // Read reads from r into buf without occupying the calling unit's
-// executor. Deadline-capable readers (net.Conn, os pipes) run on the
-// epoll reactor when compiled in, otherwise on a completer goroutine
-// attempting in deadline quanta; anything else is offloaded to a
-// one-shot blocking goroutine. Like io.Reader, it returns after one
-// successful read, which may be short.
+// executor. Deadline-capable readers (net.Conn, os pipes) run on a
+// completer goroutine attempting in deadline quanta; anything else is
+// offloaded to a one-shot blocking goroutine. Like io.Reader, it returns
+// after one successful read, which may be short.
 func Read(p Parker, r io.Reader, buf []byte) (int, error) {
 	parker, yield := splitParker(p)
 	o := acquire(parker)
@@ -201,11 +198,7 @@ func Read(p Parker, r io.Reader, buf []byte) (int, error) {
 			}
 			return true, n, err
 		}
-		o.conn = r
-		o.mode = waitRead
-		if !Default().addIO(o) {
-			go runAttempts(o)
-		}
+		go runAttempts(o)
 	} else {
 		go func() {
 			n, err := r.Read(buf)
@@ -240,11 +233,7 @@ func Write(p Parker, w io.Writer, buf []byte) (int, error) {
 			}
 			return true, written, err
 		}
-		o.conn = w
-		o.mode = waitWrite
-		if !Default().addIO(o) {
-			go runAttempts(o)
-		}
+		go runAttempts(o)
 	} else {
 		go func() {
 			n, err := w.Write(buf)

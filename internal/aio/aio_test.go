@@ -3,6 +3,7 @@ package aio
 import (
 	"bytes"
 	"context"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -173,6 +174,106 @@ func TestReadTCP(t *testing.T) {
 	n, err := Read(newChanParker(), c, buf)
 	if err != nil || string(buf[:n]) != "tcp-hello" {
 		t.Fatalf("Read = %d %v %q", n, err, buf[:n])
+	}
+}
+
+// The tests above all complete inside the first ioQuantum. These two
+// outlast it, so the completer goroutine's attempt times out and the
+// operation is re-attempted: a Read whose data arrives after about two
+// quanta, and a Write too large for the loopback socket buffers whose
+// peer starts reading after about two quanta — the write must resume
+// from its partial offset, every byte delivered once and in order.
+
+func TestReadTCPAcrossQuanta(t *testing.T) {
+	const delay = 5 * ioQuantum / 2
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no loopback: %v", err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		time.Sleep(delay)
+		c.Write([]byte("late"))
+	}()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	buf := make([]byte, 16)
+	start := time.Now()
+	n, err := Read(newChanParker(), c, buf)
+	if err != nil || string(buf[:n]) != "late" {
+		t.Fatalf("Read = %d %v %q", n, err, buf[:n])
+	}
+	if d := time.Since(start); d < delay {
+		t.Fatalf("Read returned after %v, before the data was sent (%v)", d, delay)
+	}
+}
+
+func TestWriteTCPAcrossQuanta(t *testing.T) {
+	const (
+		size  = 8 << 20
+		delay = 5 * ioQuantum / 2
+		sock  = 64 << 10 // pinned socket buffers: far below size
+	)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no loopback: %v", err)
+	}
+	defer ln.Close()
+	type result struct {
+		got   []byte
+		began time.Time
+		err   error
+	}
+	peer := make(chan result, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			peer <- result{err: err}
+			return
+		}
+		defer c.Close()
+		c.(*net.TCPConn).SetReadBuffer(sock)
+		time.Sleep(delay)
+		r := result{got: make([]byte, size), began: time.Now()}
+		_, r.err = io.ReadFull(c, r.got)
+		peer <- r
+	}()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.(*net.TCPConn).SetWriteBuffer(sock)
+	buf := make([]byte, size)
+	for i := range buf {
+		buf[i] = byte(i * 7 / 3)
+	}
+	n, err := Write(newChanParker(), c, buf)
+	done := time.Now()
+	if err != nil || n != len(buf) {
+		t.Fatalf("Write = %d %v, want %d nil", n, err, len(buf))
+	}
+	r := <-peer
+	if r.err != nil {
+		t.Fatalf("peer read: %v", r.err)
+	}
+	if done.Before(r.began) {
+		t.Fatal("Write finished before the peer began reading: the buffers absorbed it")
+	}
+	if !bytes.Equal(r.got, buf) {
+		i := 0
+		for i < size && r.got[i] == buf[i] {
+			i++
+		}
+		t.Fatalf("peer received different bytes from offset %d", i)
 	}
 }
 

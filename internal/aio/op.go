@@ -6,16 +6,6 @@ import (
 	"time"
 )
 
-// waitMode classifies what an op is waiting for, for the readiness
-// engines that need to know the direction of interest.
-type waitMode uint8
-
-const (
-	waitNone waitMode = iota
-	waitRead
-	waitWrite
-)
-
 // op is one pending operation. Descriptors are pooled; the completion
 // word is generation-counted exactly like the ult package's DoneAt so a
 // recycled descriptor can never satisfy a stale wait: comp holds the
@@ -43,13 +33,9 @@ type op struct {
 	when time.Time
 	hidx int
 
-	// I/O waits: the bounded attempt (deadline set budget out) retried
-	// until it reports done — by the reactor when a readiness engine is
-	// armed, by a completer goroutine otherwise — plus the
-	// descriptor/mode for epoll registration.
+	// I/O waits: the bounded attempt (deadline set budget out) its
+	// completer goroutine retries until it reports done.
 	attempt func(budget time.Duration) (done bool, n int, err error)
-	conn    any
-	mode    waitMode
 }
 
 // doneAt reports whether the incarnation issued at generation g has
@@ -84,8 +70,6 @@ func acquire(parker Parker) *op {
 	o.n, o.err = 0, nil
 	o.hidx = -1
 	o.attempt = nil
-	o.conn = nil
-	o.mode = waitNone
 	return o
 }
 
@@ -94,7 +78,6 @@ func acquire(parker Parker) *op {
 func release(o *op) {
 	o.parker = nil
 	o.attempt = nil
-	o.conn = nil
 	opPool.Put(o)
 }
 

@@ -6,14 +6,10 @@ import (
 	"time"
 )
 
-// Reactor is the poller: one goroutine owning a timer heap (sleeps,
-// deadlines) and — when a readiness engine is compiled in — a set of
-// pending I/O operations it attempts when their descriptors signal
-// ready. Attempts are bounded by a short deadline budget, so a spurious
-// readiness event costs at most that budget; one reactor serves every
-// runtime in the process. Without a readiness engine the ios set stays
-// empty (Read/Write use completer goroutines instead; see the package
-// doc) and the reactor is purely a timer wheel.
+// Reactor is the timer heap behind Sleep and SleepCancel: one goroutine
+// that completes each sleep at its deadline. One reactor serves every
+// runtime in the process. Reads and writes never reach it — each runs on
+// a completer goroutine of its own (see the package doc).
 //
 // The reactor goroutine is started lazily by Default and runs for the
 // life of the process: operations are rare enough at idle (the loop
@@ -22,26 +18,7 @@ import (
 type Reactor struct {
 	mu     sync.Mutex
 	timers timerHeap
-	ios    map[*op]struct{}
 	wake   chan struct{}
-
-	// pollEvery is the safety-net re-attempt period while I/O is pending
-	// on the reactor: oneshot readiness engines can drop events across
-	// re-arm races, so the loop re-attempts on this tick regardless.
-	pollEvery time.Duration
-
-	poller poller // readiness engine; nil without -tags aio_epoll
-}
-
-// poller is the optional readiness engine behind the portable tick: the
-// epoll build registers descriptors and turns readiness events into
-// reactor wakeups.
-type poller interface {
-	// arm registers interest in o's descriptor; returning false leaves
-	// the op on the tick-based retry path.
-	arm(o *op) bool
-	// disarm drops a registration after the op completed.
-	disarm(o *op)
 }
 
 var (
@@ -59,13 +36,7 @@ func Default() *Reactor {
 }
 
 func newReactor() *Reactor {
-	r := &Reactor{
-		ios:       make(map[*op]struct{}),
-		wake:      make(chan struct{}, 1),
-		pollEvery: defaultPollEvery,
-	}
-	r.poller = newPoller(r)
-	return r
+	return &Reactor{wake: make(chan struct{}, 1)}
 }
 
 // wakeup nudges the loop out of its wait; duplicate nudges coalesce.
@@ -97,44 +68,13 @@ func (r *Reactor) removeTimer(o *op) {
 	r.mu.Unlock()
 }
 
-// reactorBudget bounds each attempt the reactor loop makes on a
-// readiness-armed op: a descriptor epoll reported ready completes well
-// inside it, a spurious event blocks the loop for at most this long.
-const reactorBudget = time.Millisecond
-
-// addIO schedules o's attempt on the reactor's readiness engine and
-// reports whether it took ownership. The first attempt happens on the
-// reactor (not inline here) so the issuing unit can park immediately;
-// the fast-path cost of an already-ready descriptor is one reactor
-// round-trip, which is what buys the executor back. false — no engine
-// compiled in, or the descriptor could not be armed — means the caller
-// must drive the op itself (a completer goroutine).
-func (r *Reactor) addIO(o *op) bool {
-	if r.poller == nil {
-		return false
-	}
-	r.mu.Lock()
-	r.ios[o] = struct{}{}
-	r.mu.Unlock()
-	if !r.poller.arm(o) {
-		r.mu.Lock()
-		delete(r.ios, o)
-		r.mu.Unlock()
-		return false
-	}
-	r.wakeup()
-	return true
-}
-
-// loop is the reactor body: expire timers, attempt pending I/O, sleep
-// until the next deadline / poll tick / wakeup.
+// loop is the reactor body: expire timers, sleep until the next deadline
+// or wakeup.
 func (r *Reactor) loop() {
 	tm := time.NewTimer(time.Hour)
 	defer tm.Stop()
 	for {
-		now := time.Now()
-		r.expireTimers(now)
-		r.attemptIO()
+		r.expireTimers(time.Now())
 
 		d, block := r.nextWait(time.Now())
 		if block {
@@ -158,25 +98,16 @@ func (r *Reactor) loop() {
 	}
 }
 
-// nextWait computes how long the loop may sleep: until the next timer,
-// capped by the poll tick when I/O is pending; block=true means nothing
-// is pending at all and the loop should wait for a wakeup.
+// nextWait computes how long the loop may sleep: until the next timer;
+// block=true means no timer is pending and the loop should wait for a
+// wakeup.
 func (r *Reactor) nextWait(now time.Time) (d time.Duration, block bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	hasTimer := len(r.timers) > 0
-	hasIO := len(r.ios) > 0
-	if !hasTimer && !hasIO {
+	if len(r.timers) == 0 {
 		return 0, true
 	}
-	if hasTimer {
-		d = r.timers[0].when.Sub(now)
-	}
-	if hasIO {
-		if !hasTimer || r.pollEvery < d {
-			d = r.pollEvery
-		}
-	}
+	d = r.timers[0].when.Sub(now)
 	if d < time.Microsecond {
 		d = time.Microsecond
 	}
@@ -196,35 +127,5 @@ func (r *Reactor) expireTimers(now time.Time) {
 	r.mu.Unlock()
 	for _, o := range due {
 		o.complete(0, nil)
-	}
-}
-
-// attemptIO retries every pending I/O op once; completed ops leave the
-// set. Attempts run outside the lock for the same re-entrancy reason as
-// timer completion.
-func (r *Reactor) attemptIO() {
-	r.mu.Lock()
-	if len(r.ios) == 0 {
-		r.mu.Unlock()
-		return
-	}
-	pending := make([]*op, 0, len(r.ios))
-	for o := range r.ios {
-		pending = append(pending, o)
-	}
-	r.mu.Unlock()
-	for _, o := range pending {
-		done, n, err := o.attempt(reactorBudget)
-		if !done {
-			// Oneshot readiness engines need re-arming after a
-			// still-not-ready attempt.
-			r.poller.arm(o)
-			continue
-		}
-		r.mu.Lock()
-		delete(r.ios, o)
-		r.mu.Unlock()
-		r.poller.disarm(o)
-		o.complete(n, err)
 	}
 }

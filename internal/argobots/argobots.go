@@ -81,7 +81,6 @@ type Runtime struct {
 	// joins are serial, so one waiter serves every ThreadFree/TaskFree
 	// without a per-join allocation.
 	pWaiter  *ult.DoneWaiter
-	shutdown atomic.Bool
 	wg       sync.WaitGroup
 	finished atomic.Bool
 }
@@ -509,7 +508,6 @@ func (rt *Runtime) Finalize() {
 	if !rt.finished.CompareAndSwap(false, true) {
 		return
 	}
-	rt.shutdown.Store(true)
 	rt.mu.Lock()
 	for _, x := range rt.xstreams {
 		x.idle.Close()
@@ -522,16 +520,18 @@ func (rt *Runtime) Finalize() {
 // loop is the scheduling loop of one execution stream.
 func (x *XStream) loop(adopted bool) {
 	defer x.rt.wg.Done()
-	x.exec.PinIfRequested()
-	requeue := func(t *ult.ULT) {
-		sched.Requeue(x.sched, t)
-		x.idle.Wake()
+	src := ult.Source{
+		Next: x.sched.Pop,
+		Requeue: func(t *ult.ULT) {
+			sched.Requeue(x.sched, t)
+			x.idle.Wake()
+		},
 	}
 	if adopted {
 		// Conceptually the primary ULT was dispatched by Init; wait
 		// for it to yield or detach before scheduling anything else.
 		if t, res := x.exec.AwaitHandback(); res == ult.DispatchYielded {
-			requeue(t)
+			src.Requeue(t)
 		}
 	}
 	rec := x.rt.cfg.Tracer
@@ -540,30 +540,7 @@ func (x *XStream) loop(adopted bool) {
 	}
 	bat := rec.Ring(fmt.Sprintf("argobots/es%d", x.exec.ID()), x.exec.ID()).Batcher()
 	defer bat.Close()
-	for {
-		// A YieldTo hint bypasses the scheduler entirely.
-		if res, h, ok := x.exec.DispatchHint(); ok {
-			if res == ult.DispatchYielded {
-				requeue(h)
-			}
-			continue
-		}
-		u := x.sched.Pop()
-		if u == nil {
-			if x.rt.shutdown.Load() {
-				return
-			}
-			x.exec.Idle(x.idle, bat)
-			continue
-		}
-		kind := trace.KindDispatch
-		if u.Kind() == ult.KindTasklet {
-			kind = trace.KindTasklet
-		}
-		bat.Begin()
-		x.exec.RunUnit(u, requeue)
-		bat.Note(kind, 1)
-	}
+	x.exec.Run(src, x.idle, bat)
 }
 
 // SchedStats sums the pool counters across the runtime's schedulers —

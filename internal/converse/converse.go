@@ -32,7 +32,6 @@ import (
 // Runtime is an initialized Converse instance.
 type Runtime struct {
 	procs    []*Processor
-	shutdown atomic.Bool
 	wg       sync.WaitGroup
 	finished atomic.Bool
 	// yieldOps counts master scheduling steps taken outside barriers —
@@ -76,12 +75,16 @@ type Processor struct {
 	rt   *Runtime
 	exec *ult.Executor
 	q    sched.Policy
+	// src is the dispatch source over q. A yielded ULT goes back behind
+	// the current tail without a wake: the requeue is the scheduler's
+	// own, so it is awake.
+	src ult.Source
 	// idle is the wake domain of the processor's scheduler: its own
 	// goroutine, or for processor 0 the master inside MainPark.
 	idle ult.Idler
-	// bat batches the processor's flight-recorder dispatch events:
-	// written only by the goroutine driving the processor (its
-	// scheduler goroutine, or the master for processor 0).
+	// bat batches processor 0's flight-recorder dispatch events and is
+	// written only by the master (runOne); the scheduler goroutines of
+	// the other processors keep theirs in loop.
 	bat *trace.Batcher
 }
 
@@ -200,11 +203,16 @@ func InitCfg(cfg Config) *Runtime {
 	rt := &Runtime{}
 	rt.masterRing = trace.Default().Ring("converse/master", 0)
 	for i := 0; i < cfg.Procs; i++ {
+		q := pool()
 		rt.procs = append(rt.procs, &Processor{
 			id:   i,
 			rt:   rt,
 			exec: ult.NewExecutor(i),
-			q:    pool(),
+			q:    q,
+			src: ult.Source{
+				Next:    q.Pop,
+				Requeue: func(t *ult.ULT) { sched.Requeue(q, t) },
+			},
 		})
 	}
 	// Processor 0 is driven by the master goroutine, so its dispatch
@@ -399,7 +407,6 @@ func (rt *Runtime) Finalize() {
 	if !rt.finished.CompareAndSwap(false, true) {
 		return
 	}
-	rt.shutdown.Store(true)
 	for _, p := range rt.procs {
 		p.idle.Close()
 	}
@@ -408,44 +415,25 @@ func (rt *Runtime) Finalize() {
 	rt.procs[0].bat.Close()
 }
 
-// runOne executes a single unit from the processor's queue, requeueing a
-// yielded ULT behind the current tail. It reports whether a unit ran.
+// runOne is the master's step on processor 0: one unit from the queue
+// (ult.Executor.Step), requeueing a yielded ULT behind the current tail.
+// It reports whether a unit was taken; on an empty queue it publishes the
+// open trace batch, since the gaps between master drives are not
+// executor idleness.
 func (p *Processor) runOne() bool {
-	if res, h, ok := p.exec.DispatchHint(); ok {
-		if res == ult.DispatchYielded {
-			sched.Requeue(p.q, h)
-		}
+	if p.exec.Step(p.src, p.bat) {
 		return true
 	}
-	u := p.q.Pop()
-	if u == nil {
-		p.bat.Flush()
-		return false
-	}
-	kind := trace.KindDispatch
-	if u.Kind() == ult.KindTasklet {
-		kind = trace.KindTasklet
-	}
-	p.bat.Begin()
-	res := p.exec.RunUnit(u, func(t *ult.ULT) { sched.Requeue(p.q, t) })
-	p.bat.Note(kind, 1)
-	return res != ult.DispatchSkipped
+	p.bat.Flush()
+	return false
 }
 
 // loop is the scheduling goroutine of processors 1..n-1.
 func (p *Processor) loop() {
-	p.bat = trace.Default().Ring(fmt.Sprintf("converse/p%d", p.id), p.id).Batcher()
-	defer p.bat.Close()
 	defer p.rt.wg.Done()
-	for {
-		if p.runOne() {
-			continue
-		}
-		if p.rt.shutdown.Load() {
-			return
-		}
-		p.exec.Idle(&p.idle, p.bat)
-	}
+	bat := trace.Default().Ring(fmt.Sprintf("converse/p%d", p.id), p.id).Batcher()
+	defer bat.Close()
+	p.exec.Run(p.src, &p.idle, bat)
 }
 
 // SchedStats sums the queue counters across every processor.

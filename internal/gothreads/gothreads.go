@@ -35,7 +35,6 @@ type Runtime struct {
 	shared   *queue.Shared
 	idle     ult.Idler   // the global queue's wake domain
 	done     chan uint64 // out-of-order completion channel
-	shutdown atomic.Bool
 	wg       sync.WaitGroup
 	finished atomic.Bool
 }
@@ -255,7 +254,6 @@ func (rt *Runtime) Finalize() {
 	if !rt.finished.CompareAndSwap(false, true) {
 		return
 	}
-	rt.shutdown.Store(true)
 	rt.idle.Close()
 	rt.wg.Wait()
 }
@@ -267,26 +265,8 @@ func (t *thread) loop() {
 	defer t.rt.wg.Done()
 	bat := trace.Default().Ring(fmt.Sprintf("go/m%d", t.exec.ID()), t.exec.ID()).Batcher()
 	defer bat.Close()
-	for {
-		u := t.rt.shared.Pop()
-		if u == nil {
-			if t.rt.shutdown.Load() {
-				return
-			}
-			t.exec.Idle(&t.rt.idle, bat)
-			continue
-		}
-		g, ok := u.(*ult.ULT)
-		if !ok {
-			panic("gothreads: only goroutine units exist in this model")
-		}
-		bat.Begin()
-		res := t.exec.Dispatch(g)
-		bat.Note(trace.KindDispatch, 1)
-		if res == ult.DispatchYielded {
-			t.rt.push(g)
-		}
-	}
+	src := ult.Source{Next: t.rt.shared.Pop, Requeue: func(g *ult.ULT) { t.rt.push(g) }}
+	t.exec.Run(src, &t.rt.idle, bat)
 }
 
 // SchedStats snapshots the global queue's counters.

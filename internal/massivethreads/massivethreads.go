@@ -69,7 +69,6 @@ type Runtime struct {
 	// idle is the one wake domain of the runtime: with stealing, a push
 	// into any deque (or inject) can feed any worker.
 	idle     ult.Idler
-	shutdown atomic.Bool
 	wg       sync.WaitGroup
 	finished atomic.Bool
 	steals   atomic.Uint64
@@ -82,12 +81,10 @@ type Worker struct {
 	dq   *queue.Deque
 	rng  *rand.Rand
 	// tick alternates the loop's source priority between the local
-	// deque and the runtime's injection queue (see loop).
+	// deque and the runtime's injection queue (see next).
 	tick uint64
-	// ring is the worker's flight-recorder lane, acquired by loop; bat
-	// coalesces its per-unit dispatch events into per-burst intervals.
+	// ring is the worker's flight-recorder lane, acquired by loop.
 	ring *trace.Ring
-	bat  *trace.Batcher
 }
 
 // ID returns the worker's rank.
@@ -338,15 +335,18 @@ func (rt *Runtime) Finalize() {
 	if !rt.finished.CompareAndSwap(false, true) {
 		return
 	}
-	rt.shutdown.Store(true)
 	rt.idle.Close()
 	rt.primary.Detach()
 	rt.wg.Wait()
 }
 
-// loop is one worker's scheduling cycle: serve the local deque in arrival
-// order, then try to steal the oldest unit from another worker (a single
-// CAS per attempt, random first victim), then idle.
+// loop is one worker's scheduling cycle: a YieldTo hint first — the
+// work-first hand-off, which runs the new ULT here directly — then the
+// local deque in arrival order and the injection queue, then a steal of
+// the oldest unit from another worker (a single CAS per attempt, random
+// first victim), then idle. A yielded ULT returns to the local deque;
+// the primary's continuation is a unit like any other, so the main flow
+// can resume on whichever worker pops or steals it (§VI).
 //
 // Service is FIFO rather than owner-LIFO: a ULT that polls a join by
 // yielding re-enters the deque behind its target, so the target always
@@ -355,72 +355,46 @@ func (rt *Runtime) Finalize() {
 // from the work-first hand-off, which bypasses the deque entirely.)
 func (w *Worker) loop(adopted bool) {
 	defer w.rt.wg.Done()
-	requeue := func(t *ult.ULT) { w.push(t) }
+	src := ult.Source{Next: w.next, Requeue: func(t *ult.ULT) { w.push(t) }}
 	if adopted {
 		if t, res := w.exec.AwaitHandback(); res == ult.DispatchYielded {
-			requeue(t)
+			src.Requeue(t)
 		}
 	}
 	w.ring = trace.Default().Ring(
 		fmt.Sprintf("massivethreads/w%d", w.exec.ID()), w.exec.ID())
-	w.bat = w.ring.Batcher()
-	defer w.bat.Close()
-	for {
-		if res, h, ok := w.exec.DispatchHint(); ok {
-			// Work-first hand-off: the new ULT runs here directly.
-			if res == ult.DispatchYielded {
-				requeue(h)
-			}
-			continue
-		}
-		// Alternate the first source between the deque and the
-		// injection queue. Deque-first-always starves injected resumes
-		// when the deque never drains — a main flow yield-spinning on a
-		// parked unit's result re-enters the deque every cycle, so with
-		// one worker the resume sitting in inject would never run
-		// (livelock, caught live by the serve I/O benchmark). Inject-
-		// first-always has the mirror problem under a steady resume
-		// stream. Alternating bounds either source's wait to one
-		// dispatch.
-		w.tick++
-		var u ult.Unit
-		if w.tick&1 == 0 {
-			if u = w.rt.inject.Pop(); u == nil {
-				u = w.dq.PopFront()
-			}
-		} else {
-			if u = w.dq.PopFront(); u == nil {
-				u = w.rt.inject.Pop()
-			}
-		}
-		if u == nil {
-			u = w.steal()
-		}
-		if u == nil {
-			if w.rt.shutdown.Load() {
-				return
-			}
-			w.exec.Idle(&w.rt.idle, w.bat)
-			continue
-		}
-		w.runUnit(u)
-	}
+	bat := w.ring.Batcher()
+	defer bat.Close()
+	w.exec.Run(src, &w.rt.idle, bat)
 }
 
-// runUnit dispatches a unit; yielded ULTs return to the local deque. The
-// primary's continuation is a unit like any other, so the main flow can
-// resume on whichever worker pops or steals it (§VI).
-func (w *Worker) runUnit(u ult.Unit) {
-	t, ok := u.(*ult.ULT)
-	if !ok {
-		panic("massivethreads: only ULT work units exist in this model")
+// next is the worker's source: the local deque and the injection queue,
+// then a steal sweep.
+//
+// The first source alternates between the deque and the injection
+// queue. Deque-first-always starves injected resumes when the deque
+// never drains — a main flow yield-spinning on a parked unit's result
+// re-enters the deque every cycle, so with one worker the resume sitting
+// in inject would never run (livelock, caught live by the serve I/O
+// benchmark). Inject-first-always has the mirror problem under a steady
+// resume stream. Alternating bounds either source's wait to one
+// dispatch.
+func (w *Worker) next() ult.Unit {
+	w.tick++
+	var u ult.Unit
+	if w.tick&1 == 0 {
+		if u = w.rt.inject.Pop(); u == nil {
+			u = w.dq.PopFront()
+		}
+	} else {
+		if u = w.dq.PopFront(); u == nil {
+			u = w.rt.inject.Pop()
+		}
 	}
-	w.bat.Begin()
-	res := w.exec.Dispatch(t)
-	w.bat.Note(trace.KindDispatch, 1)
-	if res == ult.DispatchYielded {
-		w.push(t)
+	if u == nil {
+		u = w.steal()
 	}
+	return u
 }
 
 // steal takes the oldest unit from the first non-empty victim of a sweep

@@ -91,7 +91,6 @@ type Runtime struct {
 	// bulkNext is ForkBulk's round-robin cursor, so successive small
 	// batches rotate across shepherds like per-unit dealing does.
 	bulkNext atomic.Uint64
-	shutdown atomic.Bool
 	wg       sync.WaitGroup
 	finished atomic.Bool
 }
@@ -334,7 +333,6 @@ func (rt *Runtime) Finalize() {
 	if !rt.finished.CompareAndSwap(false, true) {
 		return
 	}
-	rt.shutdown.Store(true)
 	for _, s := range rt.shepherds {
 		s.idle.Close()
 	}
@@ -346,37 +344,11 @@ func (rt *Runtime) Finalize() {
 // (fork_to), which is why the paper's single-shepherd configuration shows
 // load imbalance with many units.
 func (w *Worker) loop() {
-	rt := w.shep.rt
-	defer rt.wg.Done()
+	defer w.shep.rt.wg.Done()
 	bat := trace.Default().Ring(
 		fmt.Sprintf("qthreads/shep%d/es%d", w.shep.id, w.exec.ID()), w.exec.ID()).Batcher()
 	defer bat.Close()
-	for {
-		if res, h, ok := w.exec.DispatchHint(); ok {
-			if res == ult.DispatchYielded {
-				w.shep.requeue(h)
-			}
-			continue
-		}
-		u := w.shep.pool.Pop()
-		if u == nil {
-			if rt.shutdown.Load() {
-				return
-			}
-			w.exec.Idle(&w.shep.idle, bat)
-			continue
-		}
-		t, ok := u.(*ult.ULT)
-		if !ok {
-			panic("qthreads: only ULT work units exist in this model")
-		}
-		bat.Begin()
-		res := w.exec.Dispatch(t)
-		bat.Note(trace.KindDispatch, 1)
-		if res == ult.DispatchYielded {
-			w.shep.requeue(t)
-		}
-	}
+	w.exec.Run(ult.Source{Next: w.shep.pool.Pop, Requeue: w.shep.requeue}, &w.shep.idle, bat)
 }
 
 // SchedStats sums the pool counters across every shepherd queue.

@@ -36,7 +36,7 @@ func Adopt(e *Executor) *ULT {
 
 // AwaitHandback blocks until the currently running (adopted or dispatched)
 // ULT hands control back and classifies the hand-off exactly like
-// Dispatch. The executor loop of an adopted executor starts with this
+// dispatch. The executor loop of an adopted executor starts with this
 // call: conceptually the primary ULT was "dispatched" by the runtime's
 // initialization.
 func (e *Executor) AwaitHandback() (*ULT, DispatchResult) {
@@ -47,8 +47,8 @@ func (e *Executor) AwaitHandback() (*ULT, DispatchResult) {
 // Detach ends the adopted primary ULT's participation in the runtime: it
 // marks the primary Done and returns control to the executor loop one last
 // time, without parking the caller. The caller's goroutine continues as a
-// plain goroutine; the executor loop observes a completed unit and can then
-// act on its shutdown flag. Must be called from the adopted goroutine while
+// plain goroutine; the executor loop observes a completed unit and, once
+// its idler is closed, returns at its next empty poll. Must be called from the adopted goroutine while
 // it holds the control token (i.e., while it is Running).
 //
 // An adopted descriptor has no trampoline and never enters the reuse

@@ -1,18 +1,15 @@
 package ult
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Executor is an execution stream: the OS-thread-like entity that runs work
 // units one at a time. It corresponds to an Argobots Execution Stream, a
 // Qthreads Worker, a MassiveThreads Worker, a Converse Processor, and a
 // Go runtime "M"/thread in the paper's terminology (Table I).
 //
-// An Executor only provides the dispatch mechanics; the scheduling loop
-// itself belongs to each runtime emulation, which decides where ready work
-// comes from (private pool, shared pool, stealing, messages, ...).
+// Every runtime drives its executors with the same scheduling loop (Run);
+// what each emulation supplies is a Source, the place ready work comes
+// from (private pool, shared pool, stealing, messages, ...).
 type Executor struct {
 	id int
 
@@ -31,16 +28,11 @@ type Executor struct {
 	// next incarnation onto this executor.
 	//
 	// Plain fields, not atomics: setHint is only called by the work unit
-	// currently holding this executor's control token, and TakeHint only
+	// currently holding this executor's control token, and takeHint only
 	// by the scheduling loop after that unit handed the token back, so
 	// the hand-off channel already orders every access.
 	hintT   *ULT
 	hintGen uint64
-
-	// lockOSThread makes the executor goroutine bind to an OS thread,
-	// used by the OpenMP emulation to make execution streams genuinely
-	// heavy.
-	lockOSThread bool
 
 	// empties counts consecutive empty polls since the last dispatch and
 	// epoch is the idler generation captured once the spin budget is
@@ -88,27 +80,11 @@ func NewExecutor(id int) *Executor {
 	return &Executor{id: id, handback: make(chan handoff)}
 }
 
-// NewOSExecutor creates an executor that will pin its scheduling loop to an
-// OS thread (used to emulate Pthreads-backed runtimes).
-func NewOSExecutor(id int) *Executor {
-	e := NewExecutor(id)
-	e.lockOSThread = true
-	return e
-}
-
 // ID returns the executor's identifier.
 func (e *Executor) ID() int { return e.id }
 
 // Stats exposes the executor's event counters.
 func (e *Executor) Stats() *ExecStats { return &e.stats }
-
-// PinIfRequested binds the calling goroutine to its OS thread when the
-// executor was created with NewOSExecutor. Emulation loops call it first.
-func (e *Executor) PinIfRequested() {
-	if e.lockOSThread {
-		runtime.LockOSThread()
-	}
-}
 
 // setHint records a YieldTo target. A second YieldTo before the executor
 // consumes the first simply overwrites it; the skipped target is still in
@@ -119,12 +95,12 @@ func (e *Executor) setHint(t *ULT) {
 	e.hintGen = t.gen.Load()
 }
 
-// TakeHint removes and returns the pending YieldTo target, or nil. A hint
+// takeHint removes and returns the pending YieldTo target, or nil. A hint
 // whose target descriptor has been freed and recycled since the hint was
 // set is dropped: the claim that follows would otherwise dispatch the
 // descriptor's next incarnation here, bypassing any placement it was
 // created with.
-func (e *Executor) TakeHint() *ULT {
+func (e *Executor) takeHint() *ULT {
 	t := e.hintT
 	if t == nil {
 		return nil
@@ -153,18 +129,18 @@ const (
 	DispatchSkipped
 )
 
-// Dispatch claims and runs a ULT until it hands control back, and reports
+// dispatch claims and runs a ULT until it hands control back, and reports
 // how it returned. A unit that cannot be claimed is skipped — this is how
 // stale pool entries left behind by YieldTo are discarded.
-func (e *Executor) Dispatch(t *ULT) DispatchResult {
+func (e *Executor) dispatch(t *ULT) DispatchResult {
 	if !t.claim() {
 		return DispatchSkipped
 	}
 	return e.dispatchClaimed(t)
 }
 
-// DispatchClaimed runs a ULT the caller has already claimed (via a
-// successful Resume+claim or TakeHint+claim path). The incarnation's
+// dispatchClaimed runs a ULT the caller has already claimed (via a
+// successful Resume+claim or takeHint+claim path). The incarnation's
 // first dispatch binds a trampoline goroutine from the central idle pool
 // (which starts the body directly); later dispatches hand the control
 // token to the already-bound goroutine parked in Yield/Suspend.
@@ -208,7 +184,7 @@ func (e *Executor) classifyHandoff(h handoff) DispatchResult {
 	}
 }
 
-// DispatchHint runs the pending YieldTo hint if there is one and it can be
+// dispatchHint runs the pending YieldTo hint if there is one and it can be
 // claimed. It returns the dispatched ULT's result and true, or false if no
 // hint was runnable.
 //
@@ -220,8 +196,8 @@ func (e *Executor) classifyHandoff(h handoff) DispatchResult {
 // Units whose creator promised they never entered a pool (MarkUnpooled —
 // the work-first creation hand-off) leave no stale entry and stay
 // recyclable.
-func (e *Executor) DispatchHint() (DispatchResult, *ULT, bool) {
-	h := e.TakeHint()
+func (e *Executor) dispatchHint() (DispatchResult, *ULT, bool) {
+	h := e.takeHint()
 	if h == nil {
 		return 0, nil, false
 	}
@@ -244,25 +220,4 @@ func (e *Executor) RunTasklet(t *Tasklet) bool {
 	t.run(e)
 	e.stats.TaskletRuns.Add(1)
 	return true
-}
-
-// RunUnit dispatches a unit of either kind, putting yielded ULTs back via
-// requeue. It returns the dispatch result (tasklets always report Done or
-// Skipped).
-func (e *Executor) RunUnit(u Unit, requeue func(*ULT)) DispatchResult {
-	switch v := u.(type) {
-	case *ULT:
-		res := e.Dispatch(v)
-		if res == DispatchYielded && requeue != nil {
-			requeue(v)
-		}
-		return res
-	case *Tasklet:
-		if e.RunTasklet(v) {
-			return DispatchDone
-		}
-		return DispatchSkipped
-	default:
-		panic("ult: unknown unit type")
-	}
 }

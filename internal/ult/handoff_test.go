@@ -42,11 +42,11 @@ func TestSuspendResumeRaceStress(t *testing.T) {
 				runtime.Gosched()
 			}
 			// Immediately re-dispatch on the other executor.
-			redispatched <- e2.Dispatch(u)
+			redispatched <- e2.dispatch(u)
 		}()
 		go func() {
 			defer wg.Done()
-			res := e1.Dispatch(u)
+			res := e1.dispatch(u)
 			if res != DispatchBlocked {
 				t.Errorf("round %d: first dispatch = %v, want blocked", r, res)
 			}
@@ -90,7 +90,7 @@ func TestYieldWithStalePoolEntryStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				res := e1.Dispatch(u)
+				res := e1.dispatch(u)
 				if res == DispatchDone || u.Done() {
 					return
 				}
@@ -100,7 +100,7 @@ func TestYieldWithStalePoolEntryStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				res := e2.Dispatch(u)
+				res := e2.dispatch(u)
 				if res == DispatchDone || u.Done() {
 					return
 				}

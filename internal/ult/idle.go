@@ -39,7 +39,7 @@ type Idler struct {
 	sleepers atomic.Int32
 	mu       sync.Mutex
 	cond     sync.Cond // L is bound to mu by the first park
-	closed   bool
+	closed   atomic.Bool
 }
 
 // Wake advances the epoch and releases every parked executor. With nobody
@@ -58,14 +58,19 @@ func (d *Idler) Wake() {
 	d.mu.Unlock()
 }
 
-// Close releases every sleeper for good; later parks return false without
-// blocking. Runtimes call it after setting their shutdown flag.
+// Close is the domain's stop signal: it releases every sleeper for good,
+// later parks return false without blocking, and the dispatch loops
+// (Executor.Run) return at their next empty poll. Runtimes call it from
+// Finalize.
 func (d *Idler) Close() {
 	d.mu.Lock()
-	d.closed = true
+	d.closed.Store(true)
 	d.cond.Broadcast()
 	d.mu.Unlock()
 }
+
+// Closed reports whether Close has been called.
+func (d *Idler) Closed() bool { return d.closed.Load() }
 
 // Epoch reads the wake epoch. A waiter outside the dispatch loops (the
 // Converse master) captures it, polls once more, and parks on it with
@@ -81,24 +86,24 @@ func (d *Idler) Park(epoch uint64) bool {
 		d.cond.L = &d.mu
 	}
 	d.sleepers.Add(1)
-	for d.epoch.Load() == epoch && !d.closed {
+	for d.epoch.Load() == epoch && !d.closed.Load() {
 		d.cond.Wait()
 	}
 	d.sleepers.Add(-1)
-	return !d.closed
+	return !d.closed.Load()
 }
 
-// Idle is the empty-poll step of every dispatch loop — the one idle
-// policy all five runtimes share. The loop calls it whenever its pop (and
-// steal) attempt came up empty, and polls again when it returns. While
-// under the spin budget the executor yields its OS thread so sibling
-// executors progress. With the budget spent it captures d's epoch and
-// returns for one last poll — so the epoch is always read before the
-// attempt that decides to sleep, and a busy loop never reads it at all —
-// and if that poll is empty too it opens the trace idle episode and parks
-// until a push into the domain (or shutdown) moves the epoch. A dispatch
-// restores the budget, and so does a park: the wake means work was
-// pushed, even if a sibling wins it.
+// Idle is the empty-poll step of the dispatch loop (Run) — the one idle
+// policy all five runtimes share. Run calls it whenever its source came
+// up empty and the domain is still open, and polls again when it
+// returns. While under the spin budget the executor yields its OS thread
+// so sibling executors progress. With the budget spent it captures d's
+// epoch and returns for one last poll — so the epoch is always read
+// before the attempt that decides to sleep, and a busy loop never reads
+// it at all — and if that poll is empty too it opens the trace idle
+// episode and parks until a push into the domain (or Close) moves the
+// epoch. A dispatch restores the budget, and so does a park: the wake
+// means work was pushed, even if a sibling wins it.
 func (e *Executor) Idle(d *Idler, bat *trace.Batcher) {
 	e.stats.IdleSpins.Add(1)
 	switch {

@@ -35,7 +35,7 @@ func TestLifecyclePropertyRandomSchedules(t *testing.T) {
 			} else {
 				want = DispatchBlocked
 			}
-			if got := e.Dispatch(u); got != want {
+			if got := e.dispatch(u); got != want {
 				t.Logf("op %d: dispatch = %v, want %v", i, got, want)
 				return false
 			}
@@ -44,7 +44,7 @@ func TestLifecyclePropertyRandomSchedules(t *testing.T) {
 				return false
 			}
 		}
-		if got := e.Dispatch(u); got != DispatchDone {
+		if got := e.dispatch(u); got != DispatchDone {
 			t.Logf("final dispatch = %v", got)
 			return false
 		}

@@ -12,7 +12,7 @@ func TestPanickingULTIsContained(t *testing.T) {
 	e := NewExecutor(0)
 	bad := New(func(self *ULT) { panic("injected failure") })
 	MarkReady(bad)
-	if res := e.Dispatch(bad); res != DispatchDone {
+	if res := e.dispatch(bad); res != DispatchDone {
 		t.Fatalf("dispatch of panicking ULT = %v, want done", res)
 	}
 	if !bad.Done() {
@@ -24,7 +24,7 @@ func TestPanickingULTIsContained(t *testing.T) {
 	// The executor must still work.
 	ok := New(func(self *ULT) {})
 	MarkReady(ok)
-	if res := e.Dispatch(ok); res != DispatchDone {
+	if res := e.dispatch(ok); res != DispatchDone {
 		t.Fatalf("executor broken after contained panic: %v", res)
 	}
 	if ok.Err() != nil {
@@ -39,10 +39,10 @@ func TestPanickingULTAfterYield(t *testing.T) {
 		panic("late failure")
 	})
 	MarkReady(u)
-	if res := e.Dispatch(u); res != DispatchYielded {
+	if res := e.dispatch(u); res != DispatchYielded {
 		t.Fatalf("first dispatch = %v", res)
 	}
-	if res := e.Dispatch(u); res != DispatchDone {
+	if res := e.dispatch(u); res != DispatchDone {
 		t.Fatalf("second dispatch = %v, want done", res)
 	}
 	if u.Err() == nil {
@@ -101,7 +101,7 @@ func TestJoinersSeePanickedCompletion(t *testing.T) {
 	})
 	MarkReady(joiner)
 	for !joiner.Done() {
-		e.Dispatch(joiner)
-		e.Dispatch(bad)
+		e.dispatch(joiner)
+		e.dispatch(bad)
 	}
 }

@@ -38,7 +38,7 @@ func TestULTDescriptorReuseStress(t *testing.T) {
 	for i := 0; i < 2_000; i++ {
 		u := New(func(self *ULT) {})
 		MarkReady(u)
-		if res := e.Dispatch(u); res != DispatchDone {
+		if res := e.dispatch(u); res != DispatchDone {
 			t.Fatalf("iteration %d: dispatch result %v", i, res)
 		}
 		if err := u.Free(); err != nil {
@@ -78,7 +78,7 @@ func TestStaleHintDroppedAfterRecycle(t *testing.T) {
 
 	old := New(func(self *ULT) {})
 	MarkReady(old)
-	runner.Dispatch(old)
+	runner.dispatch(old)
 	// Hint at the completed unit, then free it so the descriptor enters
 	// the pool.
 	target.setHint(old)
@@ -103,7 +103,7 @@ func TestStaleHintDroppedAfterRecycle(t *testing.T) {
 	// The next incarnation is Ready in some pool; the stale hint must not
 	// claim it.
 	MarkReady(recycled)
-	if _, _, ok := target.DispatchHint(); ok {
+	if _, _, ok := target.dispatchHint(); ok {
 		t.Fatal("stale hint dispatched a recycled descriptor")
 	}
 	if recycled.Status() != StatusReady {

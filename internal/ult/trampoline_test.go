@@ -25,7 +25,7 @@ func TestTrampolineReuseKeepsGoroutinesFlat(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		u := New(func(self *ULT) {})
 		MarkReady(u)
-		e.Dispatch(u)
+		e.dispatch(u)
 		if err := u.Free(); err != nil {
 			t.Fatalf("warmup free: %v", err)
 		}
@@ -35,7 +35,7 @@ func TestTrampolineReuseKeepsGoroutinesFlat(t *testing.T) {
 	for i := 0; i < cycles; i++ {
 		u := New(func(self *ULT) {})
 		MarkReady(u)
-		if res := e.Dispatch(u); res != DispatchDone {
+		if res := e.dispatch(u); res != DispatchDone {
 			t.Fatalf("cycle %d: dispatch = %v", i, res)
 		}
 		if err := u.Free(); err != nil {
@@ -54,7 +54,7 @@ func TestCompletionWordPerIncarnation(t *testing.T) {
 	e := NewExecutor(0)
 	u := New(func(self *ULT) {})
 	MarkReady(u)
-	e.Dispatch(u)
+	e.dispatch(u)
 	if !u.Done() {
 		t.Fatal("completed unit not Done")
 	}
@@ -77,7 +77,7 @@ func TestCompletionWordPerIncarnation(t *testing.T) {
 		t.Fatal("fresh incarnation reports Done from the previous one")
 	}
 	MarkReady(recycled)
-	e.Dispatch(recycled)
+	e.dispatch(recycled)
 	if !recycled.Done() {
 		t.Fatal("second incarnation never published completion")
 	}
@@ -93,7 +93,7 @@ func TestNewWithBody(t *testing.T) {
 		arg.(*payload).hits++
 	}, p)
 	MarkReady(u)
-	if res := e.Dispatch(u); res != DispatchDone {
+	if res := e.dispatch(u); res != DispatchDone {
 		t.Fatalf("dispatch = %v", res)
 	}
 	if p.hits != 1 {
@@ -124,7 +124,7 @@ func TestSetWaiterLifecycle(t *testing.T) {
 		t.Fatal("second SetWaiter won an occupied slot")
 	}
 	MarkReady(u)
-	e.Dispatch(u)
+	e.dispatch(u)
 	if fired.Load() != 1 {
 		t.Fatalf("waiter fired %d times, want 1", fired.Load())
 	}
@@ -160,15 +160,15 @@ func TestParkingJoinResumesJoiner(t *testing.T) {
 	MarkReady(joiner)
 	MarkReady(target)
 
-	if res := e.Dispatch(joiner); res != DispatchBlocked {
+	if res := e.dispatch(joiner); res != DispatchBlocked {
 		t.Fatalf("joiner dispatch = %v, want blocked", res)
 	}
-	if res := e.Dispatch(target); res != DispatchDone {
+	if res := e.dispatch(target); res != DispatchDone {
 		t.Fatalf("target dispatch = %v, want done", res)
 	}
 	select {
 	case j := <-queue:
-		if res := e.Dispatch(j); res != DispatchDone {
+		if res := e.dispatch(j); res != DispatchDone {
 			t.Fatalf("redispatch = %v, want done", res)
 		}
 	case <-time.After(2 * time.Second):
@@ -215,7 +215,7 @@ func TestDoneChanLazyAllocation(t *testing.T) {
 	default:
 	}
 	MarkReady(u)
-	e.Dispatch(u)
+	e.dispatch(u)
 	select {
 	case <-ch:
 	case <-time.After(2 * time.Second):
@@ -241,16 +241,16 @@ func TestUnpooledHintKeepsDescriptorRecyclable(t *testing.T) {
 			self.YieldTo(target)
 		})
 		MarkReady(creator)
-		if res := e.Dispatch(creator); res != DispatchYielded {
+		if res := e.dispatch(creator); res != DispatchYielded {
 			t.Fatalf("creator dispatch = %v", res)
 		}
-		if _, h, ok := e.DispatchHint(); !ok || h != target {
+		if _, h, ok := e.dispatchHint(); !ok || h != target {
 			t.Fatal("hint did not dispatch the unpooled target")
 		}
 		if target.noRecycle.Load() {
 			t.Fatal("unpooled hint dispatch poisoned recycling")
 		}
-		e.Dispatch(creator) // run the creator to completion
+		e.dispatch(creator) // run the creator to completion
 		if err := target.Free(); err != nil {
 			t.Fatalf("target free: %v", err)
 		}
@@ -272,12 +272,12 @@ func TestPooledHintStillPoisonsRecycling(t *testing.T) {
 		self.YieldTo(target)
 	})
 	MarkReady(creator)
-	e.Dispatch(creator)
-	if _, _, ok := e.DispatchHint(); !ok {
+	e.dispatch(creator)
+	if _, _, ok := e.dispatchHint(); !ok {
 		t.Fatal("hint not dispatched")
 	}
 	if !target.noRecycle.Load() {
 		t.Fatal("pooled hint dispatch did not poison recycling")
 	}
-	e.Dispatch(creator)
+	e.dispatch(creator)
 }

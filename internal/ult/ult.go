@@ -228,7 +228,7 @@ type ULT struct {
 	// body). Dispatch-side only: the claim CAS chain orders all access.
 	bound bool
 	// owner is the executor currently running the ULT. It is written by
-	// Dispatch before the control token is handed over and read only by
+	// dispatch before the control token is handed over and read only by
 	// the ULT goroutine while running, so it needs no extra locking.
 	owner *Executor
 

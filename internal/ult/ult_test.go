@@ -12,7 +12,7 @@ func TestULTRunsToCompletion(t *testing.T) {
 	ran := false
 	u := New(func(self *ULT) { ran = true })
 	MarkReady(u)
-	if res := e.Dispatch(u); res != DispatchDone {
+	if res := e.dispatch(u); res != DispatchDone {
 		t.Fatalf("Dispatch = %v, want DispatchDone", res)
 	}
 	if !ran {
@@ -38,7 +38,7 @@ func TestULTStatusLifecycle(t *testing.T) {
 		t.Fatalf("after MarkReady status = %v, want ready", got)
 	}
 	e := NewExecutor(0)
-	e.Dispatch(u)
+	e.dispatch(u)
 	if got := u.Status(); got != StatusDone {
 		t.Fatalf("after dispatch status = %v, want done", got)
 	}
@@ -48,15 +48,15 @@ func TestDispatchSkipsUnclaimable(t *testing.T) {
 	e := NewExecutor(0)
 	u := New(func(self *ULT) {})
 	// Never marked ready: claim must fail.
-	if res := e.Dispatch(u); res != DispatchSkipped {
+	if res := e.dispatch(u); res != DispatchSkipped {
 		t.Fatalf("Dispatch of created-only ULT = %v, want skipped", res)
 	}
 	MarkReady(u)
-	if res := e.Dispatch(u); res != DispatchDone {
+	if res := e.dispatch(u); res != DispatchDone {
 		t.Fatalf("Dispatch = %v, want done", res)
 	}
 	// Done units are also unclaimable.
-	if res := e.Dispatch(u); res != DispatchSkipped {
+	if res := e.dispatch(u); res != DispatchSkipped {
 		t.Fatalf("re-Dispatch of done ULT = %v, want skipped", res)
 	}
 }
@@ -73,14 +73,14 @@ func TestYieldReturnsControl(t *testing.T) {
 	})
 	MarkReady(u)
 	for i := 0; i < 2; i++ {
-		if res := e.Dispatch(u); res != DispatchYielded {
+		if res := e.dispatch(u); res != DispatchYielded {
 			t.Fatalf("dispatch %d = %v, want yielded", i, res)
 		}
 		if got := u.Status(); got != StatusReady {
 			t.Fatalf("after yield status = %v, want ready", got)
 		}
 	}
-	if res := e.Dispatch(u); res != DispatchDone {
+	if res := e.dispatch(u); res != DispatchDone {
 		t.Fatalf("final dispatch = %v, want done", res)
 	}
 	if steps != 3 {
@@ -100,7 +100,7 @@ func TestSuspendResume(t *testing.T) {
 		phase.Store(2)
 	})
 	MarkReady(u)
-	if res := e.Dispatch(u); res != DispatchBlocked {
+	if res := e.dispatch(u); res != DispatchBlocked {
 		t.Fatalf("Dispatch = %v, want blocked", res)
 	}
 	if got := phase.Load(); got != 1 {
@@ -110,7 +110,7 @@ func TestSuspendResume(t *testing.T) {
 		t.Fatalf("status = %v, want blocked", u.Status())
 	}
 	// A blocked unit cannot be claimed.
-	if res := e.Dispatch(u); res != DispatchSkipped {
+	if res := e.dispatch(u); res != DispatchSkipped {
 		t.Fatalf("Dispatch of blocked ULT = %v, want skipped", res)
 	}
 	if !u.Resume() {
@@ -119,7 +119,7 @@ func TestSuspendResume(t *testing.T) {
 	if u.Resume() {
 		t.Fatal("second Resume returned true")
 	}
-	if res := e.Dispatch(u); res != DispatchDone {
+	if res := e.dispatch(u); res != DispatchDone {
 		t.Fatalf("post-resume dispatch = %v, want done", res)
 	}
 	if got := phase.Load(); got != 2 {
@@ -153,12 +153,12 @@ func TestYieldToDispatchesTargetNext(t *testing.T) {
 	MarkReady(a)
 	MarkReady(b)
 
-	if res := e.Dispatch(a); res != DispatchYielded {
+	if res := e.dispatch(a); res != DispatchYielded {
 		t.Fatalf("dispatch a = %v, want yielded", res)
 	}
-	res, got, ok := e.DispatchHint()
+	res, got, ok := e.dispatchHint()
 	if !ok {
-		t.Fatal("DispatchHint found no hint after YieldTo")
+		t.Fatal("dispatchHint found no hint after YieldTo")
 	}
 	if got != b {
 		t.Fatalf("hint dispatched %v, want b", got.ID())
@@ -167,10 +167,10 @@ func TestYieldToDispatchesTargetNext(t *testing.T) {
 		t.Fatalf("hint dispatch = %v, want done", res)
 	}
 	// The stale pool entry for b is now unclaimable.
-	if res := e.Dispatch(b); res != DispatchSkipped {
+	if res := e.dispatch(b); res != DispatchSkipped {
 		t.Fatalf("stale dispatch of b = %v, want skipped", res)
 	}
-	if res := e.Dispatch(a); res != DispatchDone {
+	if res := e.dispatch(a); res != DispatchDone {
 		t.Fatalf("final dispatch of a = %v, want done", res)
 	}
 	want := []string{"a1", "b", "a2"}
@@ -186,8 +186,8 @@ func TestYieldToDispatchesTargetNext(t *testing.T) {
 
 func TestDispatchHintEmpty(t *testing.T) {
 	e := NewExecutor(0)
-	if _, _, ok := e.DispatchHint(); ok {
-		t.Fatal("DispatchHint reported a hint on a fresh executor")
+	if _, _, ok := e.dispatchHint(); ok {
+		t.Fatal("dispatchHint reported a hint on a fresh executor")
 	}
 }
 
@@ -195,12 +195,12 @@ func TestHintOnDoneTargetFallsThrough(t *testing.T) {
 	e := NewExecutor(0)
 	b := New(func(self *ULT) {})
 	MarkReady(b)
-	e.Dispatch(b) // b is done
+	e.dispatch(b) // b is done
 	a := New(func(self *ULT) { self.YieldTo(b) })
 	MarkReady(a)
-	e.Dispatch(a)
-	if _, _, ok := e.DispatchHint(); ok {
-		t.Fatal("DispatchHint dispatched a done target")
+	e.dispatch(a)
+	if _, _, ok := e.dispatchHint(); ok {
+		t.Fatal("dispatchHint dispatched a done target")
 	}
 }
 
@@ -214,10 +214,10 @@ func TestMigrationBetweenExecutors(t *testing.T) {
 		owners = append(owners, self.owner.ID())
 	})
 	MarkReady(u)
-	if res := e1.Dispatch(u); res != DispatchYielded {
+	if res := e1.dispatch(u); res != DispatchYielded {
 		t.Fatalf("dispatch on e1 = %v, want yielded", res)
 	}
-	if res := e2.Dispatch(u); res != DispatchDone {
+	if res := e2.dispatch(u); res != DispatchDone {
 		t.Fatalf("dispatch on e2 = %v, want done", res)
 	}
 	if owners[0] != 1 || owners[1] != 2 {
@@ -234,7 +234,7 @@ func TestNewPinned(t *testing.T) {
 		t.Fatal("pinned ULT reports migratable")
 	}
 	MarkReady(u)
-	NewExecutor(0).Dispatch(u)
+	NewExecutor(0).dispatch(u)
 }
 
 func TestFreeSemantics(t *testing.T) {
@@ -244,7 +244,7 @@ func TestFreeSemantics(t *testing.T) {
 		t.Fatalf("Free before completion = %v, want ErrNotDone", err)
 	}
 	MarkReady(u)
-	e.Dispatch(u)
+	e.dispatch(u)
 	if err := u.Free(); err != nil {
 		t.Fatalf("Free after completion = %v, want nil", err)
 	}
@@ -325,25 +325,6 @@ func TestTaskletFree(t *testing.T) {
 	}
 }
 
-func TestRunUnitRequeuesYielded(t *testing.T) {
-	e := NewExecutor(0)
-	var requeued []*ULT
-	u := New(func(self *ULT) { self.Yield() })
-	MarkReady(u)
-	res := e.RunUnit(u, func(t *ULT) { requeued = append(requeued, t) })
-	if res != DispatchYielded {
-		t.Fatalf("RunUnit = %v, want yielded", res)
-	}
-	if len(requeued) != 1 || requeued[0] != u {
-		t.Fatalf("requeued = %v, want [u]", requeued)
-	}
-	tk := NewTasklet(func() {})
-	MarkReady(tk)
-	if res := e.RunUnit(tk, nil); res != DispatchDone {
-		t.Fatalf("RunUnit(tasklet) = %v, want done", res)
-	}
-}
-
 func TestUnitIDsAreUnique(t *testing.T) {
 	seen := map[uint64]bool{}
 	for i := 0; i < 100; i++ {
@@ -392,7 +373,7 @@ func TestLabel(t *testing.T) {
 		t.Fatalf("label = %q", u.Label())
 	}
 	MarkReady(u)
-	NewExecutor(0).Dispatch(u)
+	NewExecutor(0).dispatch(u)
 }
 
 func TestAdoptedPrimaryYieldAndDetach(t *testing.T) {
@@ -427,7 +408,7 @@ func TestAdoptedPrimaryYieldAndDetach(t *testing.T) {
 			// primary, which unparks the test goroutine).
 			for {
 				next := <-queue
-				if r := e.Dispatch(next); r == DispatchYielded {
+				if r := e.dispatch(next); r == DispatchYielded {
 					queue <- next
 				} else if next == back && r == DispatchDone {
 					return
@@ -493,11 +474,11 @@ func TestConcurrentExecutorsIndependent(t *testing.T) {
 					total.Add(1)
 				})
 				MarkReady(u)
-				if res := e.Dispatch(u); res != DispatchYielded {
+				if res := e.dispatch(u); res != DispatchYielded {
 					t.Errorf("dispatch = %v, want yielded", res)
 					return
 				}
-				if res := e.Dispatch(u); res != DispatchDone {
+				if res := e.dispatch(u); res != DispatchDone {
 					t.Errorf("dispatch = %v, want done", res)
 					return
 				}
@@ -517,10 +498,10 @@ func TestDispatchCountsStats(t *testing.T) {
 		self.Suspend()
 	})
 	MarkReady(u)
-	e.Dispatch(u) // yield
-	e.Dispatch(u) // suspend
+	e.dispatch(u) // yield
+	e.dispatch(u) // suspend
 	u.Resume()
-	e.Dispatch(u) // done
+	e.dispatch(u) // done
 	s := e.Stats()
 	if s.Dispatches.Load() != 3 {
 		t.Fatalf("dispatches = %d, want 3", s.Dispatches.Load())
