@@ -46,9 +46,11 @@
 //	-scheduler S       ready-pool policy per backend runtime
 //	-steal             idle shards steal unkeyed backlog from loaded ones
 //	                   (default on; keyed requests never move)
-//	-autoscale-max N   shard-pool ceiling per backend; sustained saturation
-//	                   grows the routing set toward it, sustained idleness
-//	                   shrinks back to -shards (0: autoscaling off)
+//	-autoscale-max N   shard-pool ceiling per backend, all started with the
+//	                   backend (those past -shards parked); sustained
+//	                   saturation grows the routing set toward it,
+//	                   sustained idleness shrinks back to -shards
+//	                   (0: autoscaling off)
 //	-scale-interval D  autoscaler sample period
 //	-topo MODE         topology-aware layout: off, detect (probe the host),
 //	                   paper (2x18x2), or an explicit SxCxP spec; derives
@@ -392,7 +394,7 @@ func handle(g *registry, compute func(r *http.Request, sub *lwt.Submitter, n int
 		// past the budget — the caller gets 504 while the work unit
 		// runs to completion in the background.
 		wctx := r.Context()
-		if dl := deadlineOf(r); !dl.IsZero() {
+		if dl := cluster.RequestDeadline(r); !dl.IsZero() {
 			var cancel context.CancelFunc
 			wctx, cancel = context.WithDeadline(wctx, dl)
 			defer cancel()
@@ -406,43 +408,19 @@ func handle(g *registry, compute func(r *http.Request, sub *lwt.Submitter, n int
 	}
 }
 
-// deadlineOf extracts a request's end-to-end completion budget: the
-// X-LWT-Deadline-Ms header (what lwtgate forwards, already decremented
-// by time spent upstream) or the ?deadline_ms= query parameter, in
-// integer milliseconds from now. Zero time means no deadline.
-func deadlineOf(r *http.Request) time.Time {
-	v := r.Header.Get(cluster.DeadlineHeader)
-	if v == "" {
-		v = r.URL.Query().Get("deadline_ms")
-	}
-	if v == "" {
-		return time.Time{}
-	}
-	ms, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || ms <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(time.Duration(ms) * time.Millisecond)
-}
-
 // submitULT routes one ULT-shaped request: ?key= pins it to a shard by
 // affinity hash, ?wait=1 blocks on a full queue instead of fast-failing
 // with 503, and a deadline (header or ?deadline_ms=) bounds the whole
 // stay — queued past the budget sheds with ErrExpired, launched
 // handlers see the cooperative cancellation signal.
 func submitULT(r *http.Request, sub *lwt.Submitter, body func(lwt.Ctx) (float64, error)) (*lwt.Future[float64], error) {
-	key := r.URL.Query().Get("key")
-	deadline := deadlineOf(r)
-	if r.URL.Query().Get("wait") == "1" {
-		if key != "" {
-			return lwt.DoULT(sub, r.Context(), body, lwt.Req{Key: key, Deadline: deadline})
-		}
-		return lwt.DoULT(sub, r.Context(), body, lwt.Req{Deadline: deadline})
+	q := r.URL.Query()
+	req := lwt.Req{Key: q.Get("key"), Deadline: cluster.RequestDeadline(r), NonBlocking: q.Get("wait") != "1"}
+	ctx := r.Context()
+	if req.NonBlocking {
+		ctx = nil
 	}
-	if key != "" {
-		return lwt.DoULT(sub, nil, body, lwt.Req{Key: key, Deadline: deadline, NonBlocking: true})
-	}
-	return lwt.DoULT(sub, nil, body, lwt.Req{Deadline: deadline, NonBlocking: true})
+	return lwt.DoULT(sub, ctx, body, req)
 }
 
 // fib computes fib(n) with a ULT per left branch below the cutoff.

@@ -25,21 +25,21 @@ func TestDeadlineOfParsing(t *testing.T) {
 		}
 		return r
 	}
-	if !deadlineOf(mk("", "")).IsZero() {
+	if !cluster.RequestDeadline(mk("", "")).IsZero() {
 		t.Fatal("no budget anywhere, want zero deadline")
 	}
 	for _, bad := range []string{"x", "0", "-5"} {
-		if !deadlineOf(mk(bad, "")).IsZero() {
+		if !cluster.RequestDeadline(mk(bad, "")).IsZero() {
 			t.Fatalf("header %q, want zero deadline", bad)
 		}
 	}
 	before := time.Now()
-	dl := deadlineOf(mk("", "200"))
+	dl := cluster.RequestDeadline(mk("", "200"))
 	if got := dl.Sub(before); got <= 0 || got > 250*time.Millisecond {
 		t.Fatalf("query budget lands %v out, want ~200ms", got)
 	}
 	// Header wins: 50ms header against a 10s query parameter.
-	dl = deadlineOf(mk("50", "10000"))
+	dl = cluster.RequestDeadline(mk("50", "10000"))
 	if got := dl.Sub(before); got > time.Second {
 		t.Fatalf("header did not win over query: deadline %v out", got)
 	}

@@ -5,14 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/lathist"
 	"repro/internal/trace"
 )
 
@@ -85,13 +85,22 @@ type Gateway struct {
 	hedges      atomic.Uint64 // hedged second attempts fired
 	expired504  atomic.Uint64 // requests answered 504 (deadline budget exhausted)
 
-	// lats is a ring of recent successful proxy latencies feeding the
-	// P99-derived hedge delay.
-	latmu   sync.Mutex
-	lats    [256]time.Duration
-	latNext int
-	latFull bool
+	// lat records successful proxy latencies while hedging is on;
+	// marks holds the two snapshots that window it for hedgeDelay.
+	lat   lathist.Hist
+	marks atomic.Pointer[hedgeMarks]
 }
+
+// hedgeWindow is the sample count after which hedgeDelay rolls its
+// window forward: the P99 it reads covers the last one to two windows
+// of latencies, so it follows a shifted mix within a few hundred
+// requests.
+const hedgeWindow = 256
+
+// hedgeMarks are two earlier snapshots of Gateway.lat: the P99 is read
+// over the observations since base, and mid is where base moves once a
+// full window has landed after it.
+type hedgeMarks struct{ base, mid lathist.Counts }
 
 // New returns a gateway over the table.
 func New(opts Options) *Gateway {
@@ -127,6 +136,7 @@ func New(opts Options) *Gateway {
 		attemptTimeout: opts.AttemptTimeout, hedge: opts.Hedge,
 		ring: rec.SharedRing("gate", 0),
 	}
+	g.marks.Store(&hedgeMarks{})
 	// Breaker transitions are rare and load-bearing for post-incident
 	// analysis: every one lands in the flight recorder (Unit = new
 	// state: 0 closed, 1 half-open, 2 open).
@@ -153,11 +163,18 @@ func (g *Gateway) StartDrain() { g.draining.Store(true) }
 // InFlight reports requests currently being proxied.
 func (g *Gateway) InFlight() int64 { return g.inflight.Load() }
 
-// requestDeadline extracts the client's end-to-end budget: the
+// maxDeadlineMs is the largest budget a time.Duration holds, in
+// milliseconds (about 292 years). RequestDeadline clamps to it before
+// converting, so an absurd budget means a far deadline, not one that
+// wrapped into the past.
+const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
+
+// RequestDeadline extracts a request's end-to-end budget: the
 // DeadlineHeader (already decremented by upstream hops) or the
 // ?deadline_ms= query parameter, in integer milliseconds from now.
-// Zero time means none.
-func requestDeadline(r *http.Request) time.Time {
+// Zero time means none, as does a value that is not a positive integer.
+// The gateway and lwtserved both read budgets with it.
+func RequestDeadline(r *http.Request) time.Time {
 	v := r.Header.Get(DeadlineHeader)
 	if v == "" {
 		v = r.URL.Query().Get("deadline_ms")
@@ -169,7 +186,7 @@ func requestDeadline(r *http.Request) time.Time {
 	if err != nil || ms <= 0 {
 		return time.Time{}
 	}
-	return time.Now().Add(time.Duration(ms) * time.Millisecond)
+	return time.Now().Add(time.Duration(min(ms, maxDeadlineMs)) * time.Millisecond)
 }
 
 // ServeHTTP implements the proxy: candidate selection, per-attempt
@@ -187,7 +204,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.proxied.Add(1)
 
 	key := r.URL.Query().Get("key")
-	deadline := requestDeadline(r)
+	deadline := RequestDeadline(r)
 	// Replaying a request is safe only when the method is idempotent
 	// and there is no body to re-send.
 	retryable := (r.Method == http.MethodGet || r.Method == http.MethodHead) && r.ContentLength == 0
@@ -425,41 +442,20 @@ func (g *Gateway) hedgedAttempt(primary *Worker, r *http.Request, deadline time.
 // hedgeDelay derives the hedge trigger from the recent latency
 // distribution: P99, clamped to [1ms, 1s] — an attempt slower than
 // that is in the tail the hedge exists to cut. With no samples yet the
-// delay is a conservative 25ms.
+// delay is a conservative 25ms. The recording side is one lock-free
+// histogram add; the window rolls here, with one CAS per hedgeWindow
+// samples.
 func (g *Gateway) hedgeDelay() time.Duration {
-	g.latmu.Lock()
-	n := g.latNext
-	if g.latFull {
-		n = len(g.lats)
+	cur := g.lat.Snapshot()
+	m := g.marks.Load()
+	if cur.Sub(m.mid).Total() >= hedgeWindow {
+		g.marks.CompareAndSwap(m, &hedgeMarks{base: m.mid, mid: cur})
 	}
-	window := make([]time.Duration, n)
-	copy(window, g.lats[:n])
-	g.latmu.Unlock()
-	if len(window) == 0 {
+	win := cur.Sub(m.base)
+	if win.Total() == 0 {
 		return 25 * time.Millisecond
 	}
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	p99 := window[len(window)*99/100]
-	if p99 < time.Millisecond {
-		return time.Millisecond
-	}
-	if p99 > time.Second {
-		return time.Second
-	}
-	return p99
-}
-
-// observeLatency feeds one successful proxy latency into the hedge
-// window.
-func (g *Gateway) observeLatency(d time.Duration) {
-	g.latmu.Lock()
-	g.lats[g.latNext] = d
-	g.latNext++
-	if g.latNext == len(g.lats) {
-		g.latNext = 0
-		g.latFull = true
-	}
-	g.latmu.Unlock()
+	return min(max(win.Quantile(0.99), time.Millisecond), time.Second)
 }
 
 // forward sends one attempt to wk under ctx, tracking in-flight and
@@ -500,12 +496,12 @@ func (g *Gateway) forward(ctx context.Context, wk *Worker, r *http.Request, dead
 	// Latency feeds the estimate only for responses that did work;
 	// 503s go through the penalty instead (a fast shed must not look
 	// like a fast worker). Only hedgedAttempt reads the hedge window, so
-	// without hedging no response takes its lock.
+	// without hedging nothing records into it.
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		lat := time.Since(t0)
 		wk.observe(lat)
 		if g.hedge {
-			g.observeLatency(lat)
+			g.lat.Observe(lat)
 		}
 	}
 	return resp, nil

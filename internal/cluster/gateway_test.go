@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -414,4 +416,76 @@ func TestGatewayEWMATracksLatency(t *testing.T) {
 	if w.score() <= fast.score() {
 		t.Fatalf("slow worker score %d <= fast worker score %d", w.score(), fast.score())
 	}
+}
+
+// TestHedgeDelay pins the hedge trigger: the 25ms default before any
+// sample, the [1ms, 1s] clamp on both sides, and a P99 that follows the
+// latency mix as it shifts. Each step feeds samples the way hedged
+// requests do — read the delay, then record a latency.
+func TestHedgeDelay(t *testing.T) {
+	g := New(Options{Table: NewTable(64, HealthPolicy{}), Hedge: true})
+	if d := g.hedgeDelay(); d != 25*time.Millisecond {
+		t.Fatalf("cold hedge delay = %v, want 25ms", d)
+	}
+	feed := func(n int, lat func(i int) time.Duration) time.Duration {
+		for i := 0; i < n; i++ {
+			g.hedgeDelay()
+			g.lat.Observe(lat(i))
+		}
+		return g.hedgeDelay()
+	}
+	fixed := func(d time.Duration) func(int) time.Duration {
+		return func(int) time.Duration { return d }
+	}
+	if d := feed(2*hedgeWindow, fixed(100*time.Microsecond)); d != time.Millisecond {
+		t.Fatalf("hedge delay over 100us latencies = %v, want the 1ms floor", d)
+	}
+	if d := feed(2*hedgeWindow, fixed(5*time.Second)); d != time.Second {
+		t.Fatalf("hedge delay over 5s latencies = %v, want the 1s ceiling", d)
+	}
+	// The histogram reports a bucket's upper bound: at most 25 % over.
+	within := func(d, want time.Duration) bool { return d >= want && d <= want*5/4 }
+	if d := feed(2*hedgeWindow, fixed(10*time.Millisecond)); !within(d, 10*time.Millisecond) {
+		t.Fatalf("hedge delay after the mix fell to 10ms = %v, want ~10ms", d)
+	}
+	// Two requests in every hundred at 40ms put the P99 in the tail.
+	mix := func(i int) time.Duration {
+		if i%50 == 0 {
+			return 40 * time.Millisecond
+		}
+		return 2 * time.Millisecond
+	}
+	if d := feed(2*hedgeWindow, mix); !within(d, 40*time.Millisecond) {
+		t.Fatalf("hedge delay over a 2%% 40ms tail = %v, want ~40ms", d)
+	}
+}
+
+// FuzzRequestDeadline checks the budget parser on arbitrary header and
+// query values: it never panics, anything but a positive integer means
+// no deadline, and a valid budget — however large — never lands before
+// now.
+func FuzzRequestDeadline(f *testing.F) {
+	for _, v := range []string{"", "x", "0", "-5", "200", "+7", "9300000000000", "10000000000000", "9223372036854775807", "99999999999999999999"} {
+		f.Add(v, false)
+		f.Add(v, true)
+	}
+	f.Fuzz(func(t *testing.T, v string, query bool) {
+		r := httptest.NewRequest(http.MethodGet, "/fib", nil)
+		if query {
+			r.URL.RawQuery = url.Values{"deadline_ms": {v}}.Encode()
+		} else {
+			r.Header.Set(DeadlineHeader, v)
+		}
+		before := time.Now()
+		dl := RequestDeadline(r)
+		if ms, err := strconv.ParseInt(v, 10, 64); err != nil || ms <= 0 {
+			if !dl.IsZero() {
+				t.Fatalf("budget %q: deadline %v, want none", v, dl)
+			}
+			return
+		}
+		if dl.Before(before) {
+			t.Fatalf("budget %q: deadline %v lands before now %v", v, dl, before)
+		}
+	})
 }

@@ -36,7 +36,7 @@ func watchdog(t *testing.T, what string, step func()) {
 func fullShard(t *testing.T, n int) (*Server, *shard, chan struct{}, func() (int, error)) {
 	t.Helper()
 	s := MustNew(Options{Backend: "go", Shards: 1, Threads: 1, QueueDepth: n, MaxInFlight: n})
-	sh := s.baseShards[0]
+	sh := s.all[0]
 	gate := make(chan struct{})
 	body := func() (int, error) {
 		<-gate
@@ -166,7 +166,7 @@ func TestAdmissionCancelledWaiterPassesOn(t *testing.T) {
 // passing the wake on reaches the other.
 func TestAdmissionBurstOfPopsAdmitsEveryWaiter(t *testing.T) {
 	s := MustNew(Options{Backend: "go", Shards: 1, Threads: 1, QueueDepth: 2, MaxInFlight: 1})
-	sh := s.baseShards[0]
+	sh := s.all[0]
 	sub := s.Submitter()
 	gate := make(chan struct{})
 	body := func() (int, error) {

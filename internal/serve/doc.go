@@ -66,9 +66,12 @@
 // publishing the event: a push, a completion that frees room under a
 // non-empty queue or ends the last in-flight unit, an I/O park that
 // frees room, a peer's unkeyed backlog reaching two (with stealing on),
-// Close, the drain deadline, and the last producer leaving a closed
-// server. Metrics.PumpParks counts the parks, so whether the master is
-// polling is a /metrics query, not a CPU subtraction.
+// the autoscaler adding the shard to the routing set, Close, the drain
+// deadline, and the last producer leaving a closed server. A wake that
+// brings nothing to launch steals or parks again at once: the budget
+// is spent only after work. Metrics.PumpParks counts the parks, so
+// whether the master is polling is a /metrics query, not a CPU
+// subtraction.
 //
 // # Adaptive pool
 //
@@ -94,12 +97,14 @@
 //     or P99 over its EWMA baseline), up to AutoScale.MaxShards; a pool
 //     that stays cold longer shrinks by one. Keyed submissions hash over
 //     the base Options.Shards only, so scaling never remaps a key; the
-//     dynamic shards carry unkeyed traffic. Scale-down drains before
-//     removal: the shard leaves the routing set first (no new traffic),
-//     its pump runs down everything it had accepted, and the shard then
-//     parks warm — still owning its queues, so a submission that raced
-//     the scale-down is served, not stranded — until a later grow
-//     revives it or Close finalizes it.
+//     headroom shards carry unkeyed traffic. New starts all MaxShards
+//     shards and the headroom ones park at once, so the routing set is a
+//     prefix of a fixed shard array and a scale event moves its length
+//     with one CAS. Scale-down drains before removal: the shard leaves
+//     the routing set first (no new traffic), its pump runs down
+//     everything it had accepted, and the shard parks again — still
+//     owning its queues, so a submission that raced the scale-down is
+//     served, not stranded — until a later grow or Close.
 //   - Topology-aware layout (Options.Topo): the pool shape defaults to
 //     one shard per physical core with one executor per hardware thread
 //     (internal/topo), the way Qthreads binds one Shepherd per core
@@ -110,8 +115,8 @@
 // Server.Metrics returns one Metrics snapshot per shard plus an
 // aggregate. The counters (Submitted, Completed, Saturated, Canceled,
 // Rejected, Failed, Panicked, Steals, PumpParks, ScaleUps/ScaleDowns) are monotonic
-// over the Server's lifetime — a shard scaled out of the routing set
-// keeps reporting, so the per-shard slice never loses history; the
+// over the Server's lifetime — a shard outside the routing set keeps
+// reporting, so the per-shard slice never loses history; the
 // gauges (QueueDepth, InFlight, IOParked) are instantaneous.
 // Invariants the fields keep:
 //
@@ -165,4 +170,18 @@
 // window. Request intervals are traced with 1-in-Options.TraceSample
 // sampling, plus every slow request. See TRACING.md for the operator
 // view of both surfaces.
+//
+// # Files
+//
+//   - serve.go: Options, Server, New, the accessors and Snapshot.
+//   - admission.go: Req, the request and its typed call, the shard's
+//     queues and admission counter (admit, push, pop, take), Do/DoULT,
+//     route and submit.
+//   - pump.go: the pump's park and kick, the serving loop, stealing,
+//     launch, completion (Run, record, finish) and the handler
+//     contexts.
+//   - drain.go: Close and the per-shard shutdown (sweep).
+//   - scale.go: the autoscaler; detector.go: the anomaly and scale
+//     detector; router.go: routers and the key hash; future.go: Future;
+//     metrics.go and prom.go: Metrics and its Prometheus page.
 package serve

@@ -40,10 +40,10 @@ type Metrics struct {
 	// Shard is the shard index this snapshot covers, or -1 for the
 	// whole-server aggregate.
 	Shard int
-	// Shards is the routing set's current size — base shards plus live
-	// dynamic shards. With autoscaling armed it moves between
+	// Shards is the routing set's current size — base shards plus the
+	// headroom shards routed to. With autoscaling armed it moves between
 	// Options.Shards and AutoScale.MaxShards; the per-shard slice from
-	// ShardMetrics may be longer (scaled-down shards keep reporting).
+	// ShardMetrics always covers all MaxShards shards.
 	Shards int
 	// Router is the name of the router spreading unkeyed submissions.
 	Router string

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/trace"
@@ -25,15 +26,15 @@ const scaleLaneExec = -4096
 // EWMA baseline, grow the routing set by one shard; a pool that stays
 // calm for eight samples shrinks by one.
 //
-// Growth never remaps keys: keyed submissions hash over the base
-// Options.Shards only, so dynamic shards carry unkeyed traffic. Shrink
-// is a graceful routing-level drain — the shard leaves the routing set
-// first, then its pump runs down whatever it had accepted; because the
-// pump keeps owning its queues afterwards (parked warm, zero CPU), a
-// submission that raced the scale-down is served, not stranded, and a
-// later grow revives the shard instead of paying another backend
-// initialization. Every shard, in the set or out, is finalized at
-// Close.
+// New starts all MaxShards shards up front; the ones beyond
+// Options.Shards are headroom and start parked (zero CPU), outside the
+// routing set, which is a prefix of the shard array. Growth never
+// remaps keys: keyed submissions hash over the base Options.Shards
+// only, so headroom shards carry unkeyed traffic. Shrink is a graceful
+// routing-level drain — the shard leaves the routing set first, then its
+// pump runs down whatever it had accepted and parks again, still owning
+// its queues, so a submission that raced the scale-down is served, not
+// stranded. Every shard, in the set or out, is finalized at Close.
 type AutoScale struct {
 	// MaxShards is the routing set's ceiling. <= Options.Shards means
 	// autoscaling off.
@@ -80,75 +81,30 @@ func scaleLoad(m Metrics, maxInFlight int) (loaded, calm bool) {
 	return loaded, calm
 }
 
-// grow adds one shard to the routing set: a previously scaled-down
-// shard is revived in place (its runtime stayed warm), otherwise a new
-// shard and backend runtime are started. Reports whether the set grew.
-func (s *Server) grow() bool {
-	s.scaleMu.Lock()
-	defer s.scaleMu.Unlock()
-	if s.closed.Load() {
-		return false
-	}
-	cur := s.shards()
-	if len(cur) >= s.opts.Scale.MaxShards {
-		return false
-	}
-	var sh *shard
-	for _, c := range s.all {
-		if !inSet(cur, c) {
-			sh = c // revive: drained earlier, runtime still live
-			break
-		}
-	}
-	if sh == nil {
-		sh = s.newShard(len(s.all))
-		ready := make(chan error, 1)
-		go sh.pump(ready)
-		if err := <-ready; err != nil {
-			// The pump closed sh.done and the ring on its error path;
-			// the shard was never published anywhere.
-			return false
-		}
-		s.all = append(s.all, sh)
-	}
-	next := append(append(make([]*shard, 0, len(cur)+1), cur...), sh)
-	s.publish(next)
-	s.scaleUps.Add(1)
-	s.scaleRing.Instant(trace.KindUser, uint64(len(next)))
-	return true
-}
+// grow adds the next headroom shard to the routing set; shrink removes
+// the newest one. Each is one CAS on live within [base, len(all)]: the
+// shards themselves were started by New and stay up until Close, so
+// scaling moves routing, never a runtime. A shard joining the set is
+// kicked: its pump wakes and, with stealing on, takes a share of the
+// backlog that made the pool grow before it parks again. A shard
+// leaving the set is not told anything: with no new traffic routed to
+// it, its pump runs down its queues and parks. Base shards never leave
+// — they are the keyed-affinity domain. Each reports whether the set
+// changed.
+func (s *Server) grow() bool { return s.resize(1, &s.scaleUps) }
 
-// shrink removes the newest dynamic shard from the routing set. Base
-// shards never leave — they are the keyed-affinity domain. The removed
-// shard's pump is not told anything: with no new traffic routed to it,
-// it runs down its queues and parks; see AutoScale for why it stays
-// warm. Reports whether the set shrank.
-func (s *Server) shrink() bool {
-	s.scaleMu.Lock()
-	defer s.scaleMu.Unlock()
-	if s.closed.Load() {
-		return false
-	}
-	cur := s.shards()
-	if len(cur) <= s.base {
-		return false
-	}
-	i := len(cur) - 1
-	if cur[i].id < s.base {
-		return false // base shard at the tail; routing set never reorders, so this cannot happen
-	}
-	next := append(make([]*shard, 0, i), cur[:i]...)
-	s.publish(next)
-	s.scaleDowns.Add(1)
-	s.scaleRing.Instant(trace.KindUser, uint64(len(next)))
-	return true
-}
+func (s *Server) shrink() bool { return s.resize(-1, &s.scaleDowns) }
 
-func inSet(set []*shard, sh *shard) bool {
-	for _, v := range set {
-		if v == sh {
-			return true
-		}
+func (s *Server) resize(delta int32, events *atomic.Uint64) bool {
+	n := s.live.Load()
+	next := n + delta
+	if s.closed.Load() || next < int32(s.base) || next > int32(len(s.all)) || !s.live.CompareAndSwap(n, next) {
+		return false
 	}
-	return false
+	if delta > 0 {
+		s.all[next-1].kick()
+	}
+	events.Add(1)
+	s.scaleRing.Instant(trace.KindUser, uint64(next))
+	return true
 }

@@ -64,10 +64,7 @@ func TestGrowShrinkRevive(t *testing.T) {
 	if !s.grow() {
 		t.Fatal("regrow failed")
 	}
-	s.scaleMu.Lock()
-	started := len(s.all)
-	s.scaleMu.Unlock()
-	if started != 4 {
+	if started := len(s.all); started != 4 {
 		t.Fatalf("%d shards ever started, want 4 — regrow must revive, not respawn", started)
 	}
 	serve(100)
@@ -86,6 +83,92 @@ func TestGrowShrinkRevive(t *testing.T) {
 	if agg.Submitted != agg.Completed+agg.Rejected+agg.Expired {
 		t.Fatalf("drain identity broken across scale cycle: submitted=%d completed=%d rejected=%d expired=%d",
 			agg.Submitted, agg.Completed, agg.Rejected, agg.Expired)
+	}
+}
+
+// TestHeadroomShardsStartParked pins the fixed shard array: New starts
+// every shard up to Scale.MaxShards, and the headroom ones outside the
+// routing set park once and then cost nothing — neither their pumps nor
+// their executors poll while the server sits idle.
+func TestHeadroomShardsStartParked(t *testing.T) {
+	s := MustNew(Options{
+		Backend: "go", Threads: 1, Shards: 1,
+		Scale: AutoScale{MaxShards: 4, Interval: time.Hour},
+	})
+	defer s.Close()
+	if got := len(s.ShardMetrics()); got != 4 {
+		t.Fatalf("ShardMetrics has %d entries after New, want 4", got)
+	}
+	if got := s.NumShards(); got != 1 {
+		t.Fatalf("NumShards = %d, want the base 1", got)
+	}
+	// Each fresh pump parks at once; wait for that, and for the
+	// executors' first spin to end, before the idle window starts.
+	deadline := time.Now().Add(10 * time.Second)
+	for _, m := range s.ShardMetrics()[1:] {
+		for m.PumpParks == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("headroom shard %d never parked its pump", m.Shard)
+			}
+			time.Sleep(time.Millisecond)
+			m = s.ShardMetrics()[m.Shard]
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	before := s.ShardMetrics()
+	time.Sleep(200 * time.Millisecond)
+	after := s.ShardMetrics()
+	for i := 1; i < 4; i++ {
+		if before[i].PumpParks != after[i].PumpParks || before[i].Sched.EmptyPops != after[i].Sched.EmptyPops {
+			t.Fatalf("idle headroom shard %d moved: PumpParks %d -> %d, EmptyPops %d -> %d", i,
+				before[i].PumpParks, after[i].PumpParks, before[i].Sched.EmptyPops, after[i].Sched.EmptyPops)
+		}
+	}
+}
+
+// TestGrowWakesHeadroomShardToSteal pins the grow kick: a headroom shard
+// joining the routing set wakes and steals the backlog queued behind a
+// busy base shard, with no new traffic to wake it.
+func TestGrowWakesHeadroomShardToSteal(t *testing.T) {
+	s := MustNew(Options{
+		Backend: "go", Threads: 1, Shards: 1, QueueDepth: 8, MaxInFlight: 1, Steal: true,
+		Scale: AutoScale{MaxShards: 2, Interval: time.Hour},
+	})
+	sub := s.Submitter()
+	gate := make(chan struct{})
+	held, err := Do(sub, context.Background(), func() (int, error) { <-gate; return 0, nil }, Req{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s.Metrics().InFlight == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	var backlog []*Future[int]
+	for i := 0; i < 4; i++ {
+		f, err := Do(sub, context.Background(), func() (int, error) { return 1, nil }, Req{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		backlog = append(backlog, f)
+	}
+	if !s.grow() {
+		t.Fatal("grow failed")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i, f := range backlog {
+		if _, err := f.Wait(ctx); err != nil {
+			t.Fatalf("backlog request %d behind the held shard: %v — the grown shard never stole it", i, err)
+		}
+	}
+	if got := s.ShardMetrics()[1].Steals; got != 4 {
+		t.Fatalf("grown shard stole %d requests, want all 4", got)
+	}
+	close(gate)
+	held.MustWait()
+	s.Close()
+	if m := s.Metrics(); m.Submitted != m.Completed+m.Rejected+m.Expired {
+		t.Fatalf("drain identity broken: %+v", m)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -255,6 +256,32 @@ func TestConcurrentProducers(t *testing.T) {
 	}
 	if m.Throughput <= 0 {
 		t.Fatalf("Throughput = %v", m.Throughput)
+	}
+}
+
+// TestCompletedVisibleAfterWait pins the completion's order: a request
+// is counted in Completed and in Latency before its Future resolves, so a
+// caller whose Wait returned always sees it in Metrics. The caller polls
+// Ready before its Wait, which returns the moment the Future resolves —
+// the narrowest window a late count could hide in.
+func TestCompletedVisibleAfterWait(t *testing.T) {
+	s := MustNew(Options{Backend: "go", Threads: 2, Shards: 2})
+	defer s.Close()
+	sub := s.Submitter()
+	for i := uint64(1); i <= 500; i++ {
+		f, err := Do(sub, context.Background(), func() (uint64, error) { return i, nil }, Req{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !f.Ready() {
+			runtime.Gosched()
+		}
+		if _, err := f.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if m := s.Metrics(); m.Completed != i || m.Latency.Total() != i {
+			t.Fatalf("after Wait %d: Completed = %d, Latency.Total = %d", i, m.Completed, m.Latency.Total())
+		}
 	}
 }
 
