@@ -485,7 +485,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 				}
 				srv, err := lwt.NewServer(lwt.ServeOptions{
 					Backend: backend, Threads: threads, Shards: shards,
-					QueueDepth: 256, Batch: 32,
+					QueueDepth: 256,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -565,7 +565,7 @@ func BenchmarkServeDeadlineThroughput(b *testing.B) {
 				}
 				srv, err := lwt.NewServer(lwt.ServeOptions{
 					Backend: backend, Threads: threads, Shards: shards,
-					QueueDepth: 256, Batch: 32,
+					QueueDepth: 256,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -656,7 +656,7 @@ func BenchmarkServeIOThroughput(b *testing.B) {
 					}
 					srv, err := lwt.NewServer(lwt.ServeOptions{
 						Backend: backend, Threads: threads, Shards: shards,
-						QueueDepth: 256, Batch: 32,
+						QueueDepth: 256,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -793,7 +793,7 @@ func BenchmarkServeAdaptive(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", backend, mode), func(b *testing.B) {
 				opts := lwt.ServeOptions{
 					Backend: backend, Threads: 1, Shards: baseShards,
-					QueueDepth: 64, MaxInFlight: 2, Batch: 8,
+					QueueDepth: 64, MaxInFlight: 2,
 				}
 				if mode == "adaptive" {
 					opts.Steal = true

@@ -158,7 +158,7 @@ func main() {
 	for i := 0; i < 3; i++ {
 		p, err := drill.Start(fmt.Sprintf("worker-%d", i), *workerBin,
 			"-addr", "127.0.0.1:0", "-shards", "2", "-threads", "1",
-			"-queue", "256", "-batch", "16", "-drain", "20s")
+			"-queue", "256", "-drain", "20s")
 		if err != nil {
 			drill.Fatalf("%v", err)
 		}

@@ -18,8 +18,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/semantics"
-	"repro/internal/serve"
-	"repro/internal/topo"
 )
 
 func main() {
@@ -49,31 +47,6 @@ func main() {
 		fmt.Println()
 		fmt.Print(renderBackends())
 	}
-
-	fmt.Println()
-	fmt.Print(renderTopology())
-}
-
-// renderTopology reports the detected machine topology, the paper's
-// testbed for comparison, and the serve-layer pool layout each implies
-// (one shard per physical core, one executor per hardware thread —
-// lwtserved -topo detect|paper). Separated from main so a unit test can
-// pin the output.
-func renderTopology() string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Machine topology (serving-pool layout it implies; lwtserved -topo):")
-	for _, row := range []struct {
-		name string
-		t    topo.Topology
-	}{
-		{"detected", topo.Detect()},
-		{"paper testbed", topo.Paper()},
-	} {
-		sh, th := serve.TopoLayout(row.t)
-		fmt.Fprintf(&b, "  %-14s %-36s -> %d shards x %d executors\n",
-			row.name, row.t.String(), sh, th)
-	}
-	return b.String()
 }
 
 // aioResumeRule is the per-backend half of the AsyncIO column: where a

@@ -72,19 +72,3 @@ func TestRenderBackendsPinsCapabilityTable(t *testing.T) {
 		}
 	}
 }
-
-// TestRenderTopologyPinsLayoutBlock pins the topology report: both the
-// detected machine and the paper's testbed appear, each with the shard
-// layout the serving pool derives from it — the paper's 36 cores must
-// map to 36 shards of 2 executors.
-func TestRenderTopologyPinsLayoutBlock(t *testing.T) {
-	out := renderTopology()
-	for _, want := range []string{"detected", "paper testbed"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("topology block missing %q row:\n%s", want, out)
-		}
-	}
-	if !strings.Contains(out, "36 shards x 2 executors") {
-		t.Errorf("paper testbed row does not derive 36 shards x 2 executors:\n%s", out)
-	}
-}

@@ -42,7 +42,6 @@
 //	-threads N         executors per shard
 //	-queue N           submission queue depth per shard
 //	-inflight N        max in-flight work units per shard (0: queue depth)
-//	-batch N           requests launched per pump wakeup
 //	-scheduler S       ready-pool policy per backend runtime
 //	-steal             idle shards steal unkeyed backlog from loaded ones
 //	                   (default on; keyed requests never move)
@@ -52,10 +51,6 @@
 //	                   sustained idleness shrinks back to -shards
 //	                   (0: autoscaling off)
 //	-scale-interval D  autoscaler sample period
-//	-topo MODE         topology-aware layout: off, detect (probe the host),
-//	                   paper (2x18x2), or an explicit SxCxP spec; derives
-//	                   -shards (one per core) and -threads (PUs per core)
-//	                   where those are unset
 //
 // Admission control maps to HTTP: a saturated backend answers 503 with
 // Retry-After (after one re-route to the least-loaded shard); pass
@@ -106,7 +101,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/prom"
 	"repro/internal/serve"
-	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/omp"
 )
@@ -119,7 +113,6 @@ var (
 	router    = flag.String("router", "p2c", "unkeyed shard routing policy (p2c|roundrobin|random)")
 	queue     = flag.Int("queue", 1024, "submission queue depth per shard")
 	inflight  = flag.Int("inflight", 0, "max in-flight work units per shard (0: queue depth)")
-	batch     = flag.Int("batch", 64, "requests launched per pump wakeup")
 	drain     = flag.Duration("drain", 30*time.Second, "graceful-drain budget at shutdown (0: unbounded)")
 	notReady  = flag.Duration("notready-grace", 250*time.Millisecond, "window between /readyz flipping 503 and the listener closing, so health probes observe the flip")
 	traceDir  = flag.String("trace-dir", ".", "directory for flight-recorder dump files (SIGUSR2 and anomaly dumps)")
@@ -127,29 +120,7 @@ var (
 	steal     = flag.Bool("steal", true, "idle shards steal unkeyed queued requests from the most-loaded shard (keyed work never moves)")
 	scaleMax  = flag.Int("autoscale-max", 0, "autoscaler shard ceiling per backend (0 or <= -shards: autoscaling off)")
 	scaleTick = flag.Duration("scale-interval", serve.DefaultScaleInterval, "autoscaler sample period")
-	topoMode  = flag.String("topo", "off", "topology-aware shard layout: off, detect, paper, or SxCxP (e.g. 2x18x2)")
 )
-
-// resolveTopo maps the -topo flag onto a machine topology: "off" (nil —
-// flat layout), "detect" (probe the host), "paper" (the paper's 2x18x2
-// Xeon E5-2699v3 pair), or an explicit "SxCxP" spec.
-func resolveTopo(mode string) (*topo.Topology, error) {
-	switch mode {
-	case "", "off":
-		return nil, nil
-	case "detect":
-		t := topo.Detect()
-		return &t, nil
-	case "paper":
-		t := topo.Paper()
-		return &t, nil
-	}
-	var s, c, p int
-	if n, err := fmt.Sscanf(mode, "%dx%dx%d", &s, &c, &p); err != nil || n != 3 || s < 1 || c < 1 || p < 1 {
-		return nil, fmt.Errorf("bad -topo %q (off|detect|paper|SxCxP)", mode)
-	}
-	return &topo.Topology{Sockets: s, CoresPerSocket: c, PUsPerCore: p}, nil
-}
 
 // dumpTrace snapshots the process-global flight recorder and writes it
 // to a timestamped file in -trace-dir. Used by the SIGUSR2 handler and
@@ -181,7 +152,6 @@ type registry struct {
 	mu      sync.Mutex
 	servers map[string]*lwt.Server
 	omps    map[string]*ompWorker
-	topo    *topo.Topology // resolved -topo layout; nil means flat
 }
 
 func (g *registry) server(backend string) (*lwt.Server, error) {
@@ -199,11 +169,10 @@ func (g *registry) server(backend string) (*lwt.Server, error) {
 	s, err := lwt.NewServer(lwt.ServeOptions{
 		Backend: backend, Threads: *threads, Scheduler: *scheduler,
 		Shards: *shards, Router: rt,
-		QueueDepth: *queue, MaxInFlight: *inflight, Batch: *batch,
+		QueueDepth: *queue, MaxInFlight: *inflight,
 		DrainTimeout: *drain,
 		Steal:        *steal,
 		Scale:        lwt.AutoScale{MaxShards: *scaleMax, Interval: *scaleTick},
-		Topo:         g.topo,
 		// Anomaly-triggered flight-recorder dump: the watchdog fires
 		// while the trace window still holds the spike it detected.
 		AnomalyInterval: *anomEvery,
@@ -214,9 +183,6 @@ func (g *registry) server(backend string) (*lwt.Server, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	if lay := s.Layout(); lay != "" {
-		log.Printf("lwtserved: %s topology layout: %s", backend, lay)
 	}
 	g.servers[backend] = s
 	return s, nil
@@ -443,16 +409,7 @@ func main() {
 	if _, err := lwt.RouterByName(*router); err != nil {
 		log.Fatalf("lwtserved: %v", err)
 	}
-	layout, err := resolveTopo(*topoMode)
-	if err != nil {
-		log.Fatalf("lwtserved: %v", err)
-	}
-	if layout != nil {
-		sh, th := serve.TopoLayout(*layout)
-		log.Printf("lwtserved: topology (%s): %s -> %d shards x %d executors per backend",
-			*topoMode, layout, sh, th)
-	}
-	g := &registry{servers: map[string]*lwt.Server{}, omps: map[string]*ompWorker{}, topo: layout}
+	g := &registry{servers: map[string]*lwt.Server{}, omps: map[string]*ompWorker{}}
 
 	mux := http.NewServeMux()
 

@@ -155,3 +155,77 @@ func TestRingEmptyAndIdempotentOps(t *testing.T) {
 		t.Fatalf("Members = %v", got)
 	}
 }
+
+// FuzzRing replays a sequence of Add/Remove ops over eight worker ids
+// decoded from the fuzz bytes — one op per byte: bit 7 picks Remove,
+// bits 0-2 the worker, bits 3-6 the LookupN width — and after every op
+// checks the ring over 256 probe keys: Lookup names a member, or ""
+// exactly when the ring is empty; LookupN returns min(n, Size) distinct
+// members led by the key's owner; an Add moves a key only onto the added
+// member, and a Remove moves only keys the removed member owned.
+func FuzzRing(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 0x80, 0x81, 0x82})
+	f.Add([]byte{0x18, 0x21, 0x3a, 0x43, 0x81, 0x01, 0xfc, 0x7f, 0x84})
+	f.Add([]byte{0x80, 0x07, 0x07, 0x87, 0x87})
+	keys := make([]string, 256)
+	for k := range keys {
+		keys[k] = fmt.Sprintf("sess-%d", k)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		r := NewRing(0)
+		members := map[string]bool{}
+		owner := make([]string, len(keys))
+		for _, op := range ops {
+			id := workerID(int(op & 7))
+			remove := op&0x80 != 0
+			if remove {
+				r.Remove(id)
+				delete(members, id)
+			} else {
+				r.Add(id)
+				members[id] = true
+			}
+			if r.Size() != len(members) {
+				t.Fatalf("Size = %d, want %d", r.Size(), len(members))
+			}
+			n := int(op>>3) & 15
+			want := min(n, len(members))
+			for k, key := range keys {
+				got := r.Lookup(key)
+				if got == "" {
+					if len(members) != 0 {
+						t.Fatalf("Lookup(%q) empty on a ring of %d", key, len(members))
+					}
+				} else if !members[got] {
+					t.Fatalf("Lookup(%q) = %q, not a member", key, got)
+				}
+				if was := owner[k]; was != got {
+					if remove && was != id {
+						t.Fatalf("Remove(%s) moved %q from %q to %q", id, key, was, got)
+					}
+					if !remove && got != id {
+						t.Fatalf("Add(%s) moved %q from %q to %q", id, key, was, got)
+					}
+				}
+				owner[k] = got
+				seq := r.LookupN(key, n)
+				if len(seq) != want {
+					t.Fatalf("LookupN(%q, %d) = %v, want %d members", key, n, seq, want)
+				}
+				if want > 0 && seq[0] != got {
+					t.Fatalf("LookupN(%q, %d) leads with %q, Lookup = %q", key, n, seq[0], got)
+				}
+				seen := map[string]bool{}
+				for _, m := range seq {
+					if !members[m] || seen[m] {
+						t.Fatalf("LookupN(%q, %d) = %v: non-member or repeat %q", key, n, seq, m)
+					}
+					seen[m] = true
+				}
+			}
+		}
+	})
+}

@@ -350,7 +350,7 @@ func (b *qtBackend) Init(cfg Config) error {
 	b.n = cfg.Executors
 	var qcfg qthreads.Config
 	if b.perNode {
-		qcfg = qthreads.Config{Shepherds: 1, WorkersPerShepherd: cfg.Executors}
+		qcfg = qthreads.PerNode(cfg.Executors)
 	} else {
 		qcfg = qthreads.PerCPU(cfg.Executors) // the paper's preferred layout
 	}

@@ -45,7 +45,7 @@ func TestServeDeadlineEveryBackend(t *testing.T) {
 			// until its budget is gone.
 			s2, err := serve.New(serve.Options{
 				Backend: backend, Threads: 2, Shards: 1,
-				QueueDepth: 4, MaxInFlight: 1, Batch: 4,
+				QueueDepth: 4, MaxInFlight: 1,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -88,7 +88,7 @@ func TestServeDeadlineHammerEveryBackend(t *testing.T) {
 		t.Run(backend, func(t *testing.T) {
 			s, err := serve.New(serve.Options{
 				Backend: backend, Threads: 2, Shards: 2,
-				QueueDepth: 32, MaxInFlight: 4, Batch: 4,
+				QueueDepth: 32, MaxInFlight: 4,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -20,7 +20,6 @@ import (
 	"repro/internal/feb"
 	"repro/internal/queue"
 	"repro/internal/sched"
-	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/internal/ult"
 )
@@ -52,13 +51,10 @@ func (c Config) String() string {
 	return fmt.Sprintf("%d shepherds x %d workers", c.Shepherds, c.WorkersPerShepherd)
 }
 
-// PerNode returns the one-shepherd-manages-the-node layout of §VIII-B3,
-// with as many workers as the topology has processing units. Better for a
-// reduced number of work units, at the price of load imbalance.
-func PerNode(t topo.Topology, nthreads int) Config {
-	if nthreads < 1 {
-		nthreads = t.Count(topo.LevelPU)
-	}
+// PerNode returns the one-shepherd-manages-the-node layout of §VIII-B3:
+// a single shepherd with nthreads workers. Better for a reduced number
+// of work units, at the price of load imbalance.
+func PerNode(nthreads int) Config {
 	return Config{Shepherds: 1, WorkersPerShepherd: nthreads}
 }
 
@@ -66,21 +62,6 @@ func PerNode(t topo.Topology, nthreads int) Config {
 // worker) — the configuration the paper selects for most experiments.
 func PerCPU(nthreads int) Config {
 	return Config{Shepherds: nthreads, WorkersPerShepherd: 1}
-}
-
-// PerSocket returns the one-shepherd-per-socket layout, which the paper
-// evaluated and discarded ("it performed much worse than the other
-// choices for all scenarios").
-func PerSocket(t topo.Topology, nthreads int) Config {
-	s := t.Sockets
-	if s < 1 {
-		s = 1
-	}
-	w := nthreads / s
-	if w < 1 {
-		w = 1
-	}
-	return Config{Shepherds: s, WorkersPerShepherd: w}
 }
 
 // Runtime is an initialized Qthreads instance.

@@ -3,8 +3,6 @@ package qthreads
 import (
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/topo"
 )
 
 func TestConfigValidation(t *testing.T) {
@@ -23,27 +21,13 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestLayoutPresets(t *testing.T) {
-	machine := topo.Paper()
-	pn := PerNode(machine, 72)
+	pn := PerNode(72)
 	if pn.Shepherds != 1 || pn.WorkersPerShepherd != 72 {
 		t.Fatalf("PerNode = %+v", pn)
-	}
-	pnDefault := PerNode(machine, 0)
-	if pnDefault.WorkersPerShepherd != 72 {
-		t.Fatalf("PerNode default workers = %d, want 72", pnDefault.WorkersPerShepherd)
 	}
 	pc := PerCPU(36)
 	if pc.Shepherds != 36 || pc.WorkersPerShepherd != 1 {
 		t.Fatalf("PerCPU = %+v", pc)
-	}
-	ps := PerSocket(machine, 72)
-	if ps.Shepherds != 2 || ps.WorkersPerShepherd != 36 {
-		t.Fatalf("PerSocket = %+v", ps)
-	}
-	// Degenerate: fewer threads than sockets still yields a valid layout.
-	ps1 := PerSocket(machine, 1)
-	if err := ps1.Validate(); err != nil {
-		t.Fatalf("PerSocket(1 thread) invalid: %v", err)
 	}
 }
 

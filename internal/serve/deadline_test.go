@@ -148,7 +148,7 @@ func TestCanceledHelperVisible(t *testing.T) {
 func TestDrainIdentityWithExpiry(t *testing.T) {
 	s, err := New(Options{
 		Backend: "go", Threads: 1, Shards: 1,
-		QueueDepth: 64, MaxInFlight: 1, Batch: 4,
+		QueueDepth: 64, MaxInFlight: 1,
 		DrainTimeout: 50 * time.Millisecond,
 	})
 	if err != nil {

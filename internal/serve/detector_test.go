@@ -228,7 +228,7 @@ func TestAnomalyWatchdogFires(t *testing.T) {
 	hit := make(chan string, 1)
 	s := MustNew(Options{
 		Backend: "go", Threads: 1, Shards: 1,
-		QueueDepth: 1, MaxInFlight: 1, Batch: 1,
+		QueueDepth: 1, MaxInFlight: 1,
 		AnomalyInterval: 2 * time.Millisecond,
 		OnAnomaly: func(reason string, m Metrics) {
 			select {

@@ -44,7 +44,7 @@
 // # Idle executors
 //
 // A shard's executors do not busy-wait. Every backend's dispatch loop
-// shares one idle policy (ult.Executor.Idle): an executor that finds
+// shares one idle policy (the idle step of ult.Executor.Run): an executor that finds
 // nothing to run yields its OS thread for a fixed budget of 64
 // consecutive empty polls, then parks on its pool's ult.Idler until
 // something is pushed there. Whatever makes a unit runnable wakes the
@@ -105,10 +105,6 @@
 //     everything it had accepted, and the shard parks again — still
 //     owning its queues, so a submission that raced the scale-down is
 //     served, not stranded — until a later grow or Close.
-//   - Topology-aware layout (Options.Topo): the pool shape defaults to
-//     one shard per physical core with one executor per hardware thread
-//     (internal/topo), the way Qthreads binds one Shepherd per core
-//     (§III-D). See Server.Layout.
 //
 // # Observability
 //

@@ -16,7 +16,7 @@ import (
 func TestIOParkedDiscountsAdmission(t *testing.T) {
 	s := MustNew(Options{
 		Backend: "go", Threads: 2, Shards: 1,
-		QueueDepth: 64, MaxInFlight: 1, Batch: 8,
+		QueueDepth: 64, MaxInFlight: 1,
 	})
 	defer s.Close()
 	sub := s.Submitter()
@@ -64,7 +64,7 @@ func TestIOParkedDiscountsAdmission(t *testing.T) {
 func TestDrainWaitsForParkedHandlers(t *testing.T) {
 	s := MustNew(Options{
 		Backend: "go", Threads: 2, Shards: 1,
-		QueueDepth: 8, MaxInFlight: 4, Batch: 4,
+		QueueDepth: 8, MaxInFlight: 4,
 	})
 	sub := s.Submitter()
 	f, err := DoULT(sub, context.Background(), func(c core.Ctx) (int, error) {

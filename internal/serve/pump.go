@@ -71,35 +71,32 @@ func (sh *shard) pump(ready chan<- error) {
 	sh.unpark = unpark
 	sh.rt.Store(rt)
 	ready <- nil
-	batch := make([]*request, 0, s.opts.Batch)
 	// A fresh pump has no traffic yet, so it starts with the budget
 	// spent: the spin is for pipelined pushes, not for competing with
 	// the boot that is still starting its peers.
 	spins := ult.SpinBudget()
 	for {
-		batch = batch[:0]
-		// Batch drain: group up to Batch queued requests into work
-		// units per wakeup, so one scheduler step admits many requests.
-		// The MaxInFlight cap (room) leaves the excess queued, which is
-		// what lets the bounded queue fill and reject.
-		for len(batch) < s.opts.Batch && len(batch) < sh.room() {
+		// Launch each queued request as it is taken, while MaxInFlight
+		// leaves room. The cap leaves the excess queued, which is what
+		// lets the bounded queue fill and reject. A shed request counts
+		// as work taken.
+		took := false
+		for sh.room() > 0 {
 			r := sh.take()
 			if r == nil {
 				break
 			}
-			batch = append(batch, r)
-		}
-		idle := len(batch) == 0 && spins >= ult.SpinBudget()
-		if idle && s.opts.Steal {
-			// About to park with nothing of its own to launch (or no room
-			// — the steal helper rechecks capacity): be a thief before
-			// being idle. Not sooner: a pump that steals on every empty
-			// poll races each peer's own pump for requests it was about
-			// to launch, moving them across shards for nothing.
-			sh.stealInto(&batch)
-		}
-		for _, r := range batch {
 			sh.launch(rt, r)
+			took = true
+		}
+		idle := !took && spins >= ult.SpinBudget()
+		if idle && s.opts.Steal {
+			// About to park with nothing of its own to launch: be a
+			// thief before being idle. Not sooner: a pump that steals on
+			// every empty poll races each peer's own pump for requests
+			// it was about to launch, moving them across shards for
+			// nothing.
+			took = sh.steal(rt)
 		}
 		select {
 		case <-s.quit:
@@ -107,7 +104,7 @@ func (sh *shard) pump(ready chan<- error) {
 			return
 		default:
 		}
-		if len(batch) > 0 {
+		if took {
 			spins = 0
 			continue
 		}
@@ -178,41 +175,34 @@ func (sh *shard) victim() (*shard, int) {
 	return victim, best
 }
 
-// stealInto is the idle-shard steal: scan the routing set for the shard
-// with the deepest unkeyed backlog and take up to half of it (bounded
-// by Batch and this shard's spare executor capacity). Only unkeyed
-// requests are reachable — the keyed channel has no consumer but its
-// owner — so affinity survives by construction. A shard outside the
-// routing set neither steals nor is stolen from.
-func (sh *shard) stealInto(batch *[]*request) {
-	s := sh.s
-	room := sh.room() - len(*batch)
+// steal is the idle-shard steal: take up to half of the deepest peer's
+// unkeyed backlog, bounded by this shard's spare executor capacity, and
+// launch it here. Only unkeyed requests are reachable — the keyed
+// channel has no consumer but its owner — so affinity survives by
+// construction. It reports whether it took anything.
+func (sh *shard) steal(rt *core.Runtime) bool {
+	room := sh.room()
 	if room <= 0 {
-		return
+		return false
 	}
 	victim, best := sh.victim()
 	if victim == nil {
-		return
+		return false
 	}
-	max := (best + 1) / 2
-	if max > room {
-		max = room
-	}
-	if max > s.opts.Batch-len(*batch) {
-		max = s.opts.Batch - len(*batch)
-	}
-	for i := 0; i < max; i++ {
+	n := min((best+1)/2, room)
+	for i := 0; i < n; i++ {
 		select {
 		case r := <-victim.unkeyed:
 			victim.pop()
 			r.shard = sh
 			sh.m.steals.Add(1)
 			sh.ring.Instant(trace.KindSteal, r.id)
-			*batch = append(*batch, r)
+			sh.launch(rt, r)
 		default:
-			return
+			return i > 0
 		}
 	}
+	return true
 }
 
 // launch turns one accepted request into a backend work unit — or

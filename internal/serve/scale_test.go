@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/topo"
 )
 
 // TestGrowShrinkRevive exercises the scaling mechanics directly: grow to
@@ -180,7 +178,7 @@ func TestGrowWakesHeadroomShardToSteal(t *testing.T) {
 func TestAutoscaleGrowShrinkCycle(t *testing.T) {
 	s := MustNew(Options{
 		Backend: "go", Threads: 1, Shards: 1,
-		QueueDepth: 8, MaxInFlight: 1, Batch: 1,
+		QueueDepth: 8, MaxInFlight: 1,
 		Steal: true,
 		Scale: AutoScale{MaxShards: 3, Interval: 5 * time.Millisecond},
 	})
@@ -232,31 +230,5 @@ func TestAutoscaleGrowShrinkCycle(t *testing.T) {
 	if agg.Submitted != agg.Completed+agg.Rejected+agg.Expired {
 		t.Fatalf("drain identity broken across autoscale cycle: submitted=%d completed=%d rejected=%d expired=%d",
 			agg.Submitted, agg.Completed, agg.Rejected, agg.Expired)
-	}
-}
-
-// TestTopoLayoutDerivesPoolShape pins the topology-to-pool mapping: one
-// shard per physical core, one executor per hardware thread, with
-// explicit Options winning over the derivation.
-func TestTopoLayoutDerivesPoolShape(t *testing.T) {
-	tp := topo.Topology{Sockets: 2, CoresPerSocket: 3, PUsPerCore: 2}
-	if sh, th := TopoLayout(tp); sh != 6 || th != 2 {
-		t.Fatalf("TopoLayout = %d shards x %d threads, want 6 x 2", sh, th)
-	}
-
-	s := MustNew(Options{Backend: "go", Topo: &tp, QueueDepth: 8})
-	if got := s.NumShards(); got != 6 {
-		t.Fatalf("NumShards = %d, want 6 from topology", got)
-	}
-	if lay := s.Layout(); lay == "" {
-		t.Fatal("Layout() empty with Topo set")
-	}
-	s.Close()
-
-	// Explicit fields override the derivation per field.
-	s = MustNew(Options{Backend: "go", Topo: &tp, Shards: 2, QueueDepth: 8})
-	defer s.Close()
-	if got := s.NumShards(); got != 2 {
-		t.Fatalf("NumShards = %d, want explicit 2 over topology's 6", got)
 	}
 }

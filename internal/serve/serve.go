@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
@@ -33,9 +32,6 @@ var (
 const (
 	// DefaultQueueDepth bounds each shard's submission queue.
 	DefaultQueueDepth = 1024
-	// DefaultBatch is the largest request group launched per pump
-	// wakeup.
-	DefaultBatch = 64
 	// DefaultTraceSample is the request-trace sampling interval: one
 	// request in every DefaultTraceSample emits its KindUser interval.
 	DefaultTraceSample = 8
@@ -58,8 +54,7 @@ type Options struct {
 	// Threads is the executor count per shard; <= 0 means
 	// runtime.NumCPU() divided by the shard count (at least 1), so a
 	// zero-value Options keeps the pool's total executor budget at one
-	// per CPU rather than multiplying shards by CPUs. With Topo set,
-	// <= 0 means the topology's hardware threads per core instead.
+	// per CPU rather than multiplying shards by CPUs.
 	Threads int
 	// Scheduler names the backend's ready-pool policy (core.Config.
 	// Scheduler); empty means the backend default. Requests the backend
@@ -67,10 +62,9 @@ type Options struct {
 	Scheduler string
 	// Shards is the number of independent backend runtimes the server
 	// starts, each behind its own queue and pump; <= 0 means
-	// runtime.NumCPU(), or the topology's physical core count when Topo
-	// is set. One shard reproduces the unsharded engine. This is also
-	// the keyed-affinity domain and the autoscaler's floor: keyed
-	// submissions hash over these base shards only, so growing or
+	// runtime.NumCPU(). One shard reproduces the unsharded engine. This
+	// is also the keyed-affinity domain and the autoscaler's floor:
+	// keyed submissions hash over these base shards only, so growing or
 	// shrinking the pool never remaps a key.
 	Shards int
 	// Router spreads unkeyed submissions across shards; nil means
@@ -81,10 +75,6 @@ type Options struct {
 	// a non-blocking Do fast-rejects with ErrSaturated and a blocking
 	// Do parks.
 	QueueDepth int
-	// Batch caps the number of requests launched per pump wakeup —
-	// queued requests are turned into work units in groups, amortizing
-	// the pump's scheduling step; <= 0 means DefaultBatch.
-	Batch int
 	// MaxInFlight caps launched-but-unfinished work units per shard. At
 	// the cap the shard's pump stops launching, so its queue fills and
 	// admission control engages; without it every burst would pour
@@ -111,13 +101,6 @@ type Options struct {
 	// Scale arms the shard autoscaler when Scale.MaxShards exceeds
 	// Shards; see AutoScale.
 	Scale AutoScale
-	// Topo, when set, derives the pool layout from the machine
-	// topology: Shards defaults to the physical core count and Threads
-	// to the hardware threads per core, so one shard's queue, pump and
-	// executors align with one core the way Qthreads binds one Shepherd
-	// per core (§III-D). Explicit Shards/Threads override it field by
-	// field. See Server.Layout.
-	Topo *topo.Topology
 	// Tracer records one KindUser interval per request (submission to
 	// completion, Unit = request id) into a per-shard flight-recorder
 	// lane (Exec = -(shard+1): the work ran on some backend executor,
@@ -170,7 +153,6 @@ type Server struct {
 	// per scale event, Unit = the new routing-set size.
 	scaleRing            *trace.Ring
 	scaleUps, scaleDowns atomic.Uint64
-	layout               string // topology-derived layout, "" without Topo
 
 	quit   chan struct{}
 	closed atomic.Bool
@@ -186,22 +168,6 @@ type Server struct {
 	traceMask uint64
 }
 
-// TopoLayout maps a machine topology onto a shard-pool layout: one
-// shard per physical core — each core's queue, pump and executors stay
-// local, the way Qthreads binds one Shepherd per core — with one
-// executor per hardware thread of that core.
-func TopoLayout(t topo.Topology) (shards, threads int) {
-	shards = t.Count(topo.LevelCore)
-	threads = t.PUsPerCore
-	if shards < 1 {
-		shards = 1
-	}
-	if threads < 1 {
-		threads = 1
-	}
-	return shards, threads
-}
-
 // New starts a server: it spawns one pump goroutine per shard — base
 // and autoscaler headroom alike, Scale.MaxShards in all — each
 // initializing its own instance of the named backend, and returns once
@@ -211,17 +177,6 @@ func TopoLayout(t topo.Topology) (shards, threads int) {
 func New(opts Options) (*Server, error) {
 	if opts.Backend == "" {
 		opts.Backend = "go"
-	}
-	layout := ""
-	if opts.Topo != nil {
-		ts, tt := TopoLayout(*opts.Topo)
-		if opts.Shards <= 0 {
-			opts.Shards = ts
-		}
-		if opts.Threads <= 0 {
-			opts.Threads = tt
-		}
-		layout = fmt.Sprintf("%s -> %d shards x %d executors", opts.Topo, opts.Shards, opts.Threads)
 	}
 	if opts.Shards <= 0 {
 		opts.Shards = runtime.NumCPU()
@@ -236,9 +191,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = DefaultQueueDepth
-	}
-	if opts.Batch <= 0 {
-		opts.Batch = DefaultBatch
 	}
 	if opts.MaxInFlight <= 0 {
 		opts.MaxInFlight = opts.QueueDepth
@@ -262,7 +214,6 @@ func New(opts Options) (*Server, error) {
 		base:   opts.Shards,
 		quit:   make(chan struct{}),
 		start:  time.Now(),
-		layout: layout,
 	}
 	mask := uint64(1)
 	for int(mask) < opts.TraceSample {
@@ -330,11 +281,6 @@ func (s *Server) NumShards() int { return len(s.shards()) }
 
 // Router reports the router spreading unkeyed submissions.
 func (s *Server) Router() Router { return s.router }
-
-// Layout reports the topology-derived pool layout ("" when Options.Topo
-// was not set), e.g. "1 sockets x 4 cores x 2 PUs (8 PUs) -> 4 shards x
-// 2 executors".
-func (s *Server) Layout() string { return s.layout }
 
 // ShardOf reports the shard index keyed submissions with this affinity
 // key pin to — stable for the server's whole lifetime. Keys hash over

@@ -22,7 +22,7 @@ func gated(t *testing.T) (*Server, *Submitter, chan struct{}, chan struct{}) {
 	t.Helper()
 	s, err := New(Options{
 		Backend: "go", Threads: 1, Shards: 1,
-		QueueDepth: 2, MaxInFlight: 1, Batch: 8,
+		QueueDepth: 2, MaxInFlight: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -142,7 +142,7 @@ func TestReRouteOnSaturation(t *testing.T) {
 	// The router always targets shard 0; shard 1 stays empty.
 	s := MustNew(Options{
 		Backend: "go", Threads: 1, Shards: 2,
-		Router: fixedRouter(0), QueueDepth: 1, MaxInFlight: 1, Batch: 1,
+		Router: fixedRouter(0), QueueDepth: 1, MaxInFlight: 1,
 	})
 	sub := s.Submitter()
 	started := make(chan struct{})
@@ -218,7 +218,7 @@ func TestCloseVsSubmitRace(t *testing.T) {
 	for round := 0; round < 25; round++ {
 		s := MustNew(Options{
 			Backend: "go", Threads: 1, Shards: 2,
-			QueueDepth: 8, MaxInFlight: 4, Batch: 2,
+			QueueDepth: 8, MaxInFlight: 4,
 		})
 		sub := s.Submitter()
 		var mu sync.Mutex
@@ -287,7 +287,7 @@ func TestCloseVsSubmitRace(t *testing.T) {
 func TestDrainTimeout(t *testing.T) {
 	s := MustNew(Options{
 		Backend: "go", Threads: 1, Shards: 1,
-		QueueDepth: 16, MaxInFlight: 1, Batch: 1,
+		QueueDepth: 16, MaxInFlight: 1,
 		DrainTimeout: 30 * time.Millisecond,
 	})
 	sub := s.Submitter()
@@ -340,7 +340,7 @@ func TestDrainTimeout(t *testing.T) {
 func TestKeyedBlockingParksOnPinnedShard(t *testing.T) {
 	s := MustNew(Options{
 		Backend: "go", Threads: 1, Shards: 2,
-		Router: fixedRouter(0), QueueDepth: 1, MaxInFlight: 1, Batch: 1,
+		Router: fixedRouter(0), QueueDepth: 1, MaxInFlight: 1,
 	})
 	defer s.Close()
 	sub := s.Submitter()

@@ -32,7 +32,7 @@ func keyFor(t *testing.T, s *Server, shard int) string {
 func TestStealRescuesUnkeyedBacklog(t *testing.T) {
 	s := MustNew(Options{
 		Backend: "go", Threads: 1, Shards: 2,
-		Router: fixedRouter(0), QueueDepth: 64, MaxInFlight: 1, Batch: 4,
+		Router: fixedRouter(0), QueueDepth: 64, MaxInFlight: 1,
 		Steal: true,
 	})
 	sub := s.Submitter()

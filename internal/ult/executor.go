@@ -36,7 +36,7 @@ type Executor struct {
 
 	// empties counts consecutive empty polls since the last dispatch and
 	// epoch is the idler generation captured once the spin budget is
-	// spent (see Idle); touched only by the scheduling loop's goroutine.
+	// spent (see idle); touched only by the scheduling loop's goroutine.
 	empties uint32
 	epoch   uint64
 

@@ -31,7 +31,7 @@ func SpinBudget() uint32 { return spinBudget }
 // zero value is ready to use.
 //
 // An executor captures the epoch, polls for work once more, and parks only
-// if the epoch has not moved since (Executor.Idle): a push that lands
+// if the epoch has not moved since (Executor.Run's idle step): a push that lands
 // after that last empty poll advances the epoch, so the park returns at
 // once instead of sleeping through work.
 type Idler struct {
@@ -74,7 +74,7 @@ func (d *Idler) Closed() bool { return d.closed.Load() }
 
 // Epoch reads the wake epoch. A waiter outside the dispatch loops (the
 // Converse master) captures it, polls once more, and parks on it with
-// Park — the same order Executor.Idle keeps.
+// Park — the same order Executor.Run's idle step keeps.
 func (d *Idler) Epoch() uint64 { return d.epoch.Load() }
 
 // Park blocks until the epoch differs from the one captured, or Close. It
@@ -93,7 +93,7 @@ func (d *Idler) Park(epoch uint64) bool {
 	return !d.closed.Load()
 }
 
-// Idle is the empty-poll step of the dispatch loop (Run) — the one idle
+// idle is the empty-poll step of the dispatch loop (Run) — the one idle
 // policy all five runtimes share. Run calls it whenever its source came
 // up empty and the domain is still open, and polls again when it
 // returns. While under the spin budget the executor yields its OS thread
@@ -104,7 +104,7 @@ func (d *Idler) Park(epoch uint64) bool {
 // episode and parks until a push into the domain (or Close) moves the
 // epoch. A dispatch restores the budget, and so does a park: the wake
 // means work was pushed, even if a sibling wins it.
-func (e *Executor) Idle(d *Idler, bat *trace.Batcher) {
+func (e *Executor) idle(d *Idler, bat *trace.Batcher) {
 	e.stats.IdleSpins.Add(1)
 	switch {
 	case e.empties < spinBudget:

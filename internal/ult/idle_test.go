@@ -86,14 +86,14 @@ func TestIdlerCloseReleasesSleepersForGood(t *testing.T) {
 }
 
 // spendBudget makes the spin-phase calls plus the one that captures the
-// epoch: the next Idle parks.
+// epoch: the next idle parks.
 func spendBudget(e *Executor, d *Idler) {
 	for i := uint32(0); i <= spinBudget; i++ {
-		e.Idle(d, nil)
+		e.idle(d, nil)
 	}
 }
 
-// Idle spends the budget yielding, captures the epoch, polls once more
+// idle spends the budget yielding, captures the epoch, polls once more
 // and only then parks; a dispatch in between restores the budget.
 func TestExecutorIdleSpinsThenParks(t *testing.T) {
 	var d Idler
@@ -115,7 +115,7 @@ func TestExecutorIdleSpinsThenParks(t *testing.T) {
 	// Budget spent, epoch captured: this call parks until the Wake.
 	done := make(chan struct{})
 	go func() {
-		e.Idle(&d, nil)
+		e.idle(&d, nil)
 		close(done)
 	}()
 	awaitSleepers(t, &d, 1)
@@ -134,7 +134,7 @@ func TestExecutorIdleWakeBeforeParkIsNotLost(t *testing.T) {
 	e := NewExecutor(0)
 	spendBudget(e, &d) // epoch captured
 	d.Wake()           // the push that raced the last empty poll
-	e.Idle(&d, nil)    // would block forever on a lost wakeup
+	e.idle(&d, nil)    // would block forever on a lost wakeup
 	if p := e.Stats().Parks.Load(); p != 1 {
 		t.Fatalf("parks = %d, want 1", p)
 	}

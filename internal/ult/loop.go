@@ -16,7 +16,7 @@ type Source struct {
 
 // Run is the scheduling loop of an execution stream, shared by all five
 // runtimes: step while there is work, and on an empty poll either return
-// — once d has been closed — or take the idle policy (Idle) and poll
+// — once d has been closed — or take the idle policy (idle) and poll
 // again. Units queued before Close still run: the loop exits only at the
 // first empty poll after it. Executors whose loop adopted a primary ULT
 // call AwaitHandback first.
@@ -28,7 +28,7 @@ func (e *Executor) Run(src Source, d *Idler, bat *trace.Batcher) {
 		if d.Closed() {
 			return
 		}
-		e.Idle(d, bat)
+		e.idle(d, bat)
 	}
 }
 

@@ -70,9 +70,8 @@
 // two-level (a full shard re-routes once before ErrSaturated
 // surfaces), and Close drains gracefully — every accepted Future
 // resolves. The pool is adaptive: idle shards steal unkeyed backlog
-// from loaded ones (ServeOptions.Steal — keyed work never moves), the
-// routing set grows and shrinks under ServeOptions.Scale, and
-// ServeOptions.Topo lays shards out over the machine topology.
+// from loaded ones (ServeOptions.Steal — keyed work never moves), and
+// the routing set grows and shrinks under ServeOptions.Scale.
 // cmd/lwtserved serves HTTP compute traffic through it on every
 // backend.
 //
@@ -223,8 +222,7 @@ type Server = serve.Server
 
 // ServeOptions configures a Server (backend, executors per shard,
 // scheduler policy, shard count, router, queue depth, in-flight cap,
-// batch size, drain timeout, tracer, work stealing, autoscaling,
-// topology-aware layout).
+// drain timeout, tracer, work stealing, autoscaling).
 type ServeOptions = serve.Options
 
 // AutoScale configures the shard autoscaler (ServeOptions.Scale); the

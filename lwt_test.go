@@ -3,6 +3,7 @@ package lwt_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -79,10 +80,17 @@ func TestPublicAPISchedulerAndSync(t *testing.T) {
 	}
 }
 
+// registerFake registers the fake backend once per process: the
+// registry is global and Register panics on a duplicate name, so a
+// repeated run (-count=2) must not register it again.
+var registerFake sync.Once
+
 func TestPublicAPICustomBackendRegistration(t *testing.T) {
 	// A user-supplied backend plugs into the same registry the built-in
 	// adapters use.
-	lwt.Register("custom-test-backend", func() lwt.Backend { return &fakeBackend{} })
+	registerFake.Do(func() {
+		lwt.Register("custom-test-backend", func() lwt.Backend { return &fakeBackend{} })
+	})
 	r := lwt.MustOpen(lwt.Config{Backend: "custom-test-backend", Executors: 1})
 	h := r.ULTCreate(func(lwt.Ctx) {})
 	r.Join(h)
