@@ -753,31 +753,28 @@ func BenchmarkServeIOThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkServeAdaptive measures what the adaptive shard runtime buys
-// under the workload it was built for: skewed session traffic. Sixteen
-// producers drive a zipf-keyed/unkeyed mix of 2ms blocking handlers
-// into a 4-shard pool, once with the pool static and once adaptive
-// (idle-shard stealing on, autoscaler armed to twice the base shards).
-// The handlers sleep, so executors — not the CPU — are the scarce
-// resource: the adaptive pool's extra shards add real capacity, and
-// stealing drains the unkeyed backlog skew piles onto hot shards. Both
-// throughput (req/s) and the serving layer's own end-to-end P99
-// (p99-ms, submission call to completion, backpressure included) are
-// reported; the adaptive pool must win on both.
+// BenchmarkServeAdaptive measures what idle-shard work stealing buys
+// under skewed session traffic. Sixteen producers drive a
+// zipf-keyed/unkeyed mix of 2ms blocking handlers into a 4-shard pool,
+// once static and once with stealing on (mode "adaptive"). The handlers
+// sleep, so executors — not the CPU — are the scarce resource, and
+// stealing lets an idle shard drain the unkeyed backlog skew piles onto
+// hot shards. Both throughput (req/s) and the serving layer's own
+// end-to-end P99 (p99-ms, submission call to completion, backpressure
+// included) are reported.
 //
 // With LWT_BENCH_ADAPTIVE_JSON set, the best (minimum ns/op) cell per
 // backend/mode lands in BENCH_fig-adaptive.json for cmd/benchgate —
-// series "backend/mode" at the base shard count, figure number 11
+// series "backend/mode" at the shard count, figure number 11
 // (this repo's serving extension, after fig-io's 10), with the P99 of
 // the best rep in p99_ns. Opt-in so a -benchtime=1x smoke run cannot
 // overwrite a properly measured baseline cell.
 func BenchmarkServeAdaptive(b *testing.B) {
 	const (
-		baseShards = 4
-		maxShards  = 8
-		producers  = 16
-		workMs     = 2 * time.Millisecond
-		hotKeys    = 64
+		shards    = 4
+		producers = 16
+		workMs    = 2 * time.Millisecond
+		hotKeys   = 64
 	)
 	backends := []string{"go", "argobots"}
 	modes := []string{"static", "adaptive"}
@@ -792,12 +789,9 @@ func BenchmarkServeAdaptive(b *testing.B) {
 			mode := mode
 			b.Run(fmt.Sprintf("%s/%s", backend, mode), func(b *testing.B) {
 				opts := lwt.ServeOptions{
-					Backend: backend, Threads: 1, Shards: baseShards,
+					Backend: backend, Threads: 1, Shards: shards,
 					QueueDepth: 64, MaxInFlight: 2,
-				}
-				if mode == "adaptive" {
-					opts.Steal = true
-					opts.Scale = lwt.AutoScale{MaxShards: maxShards, Interval: 20 * time.Millisecond}
+					Steal: mode == "adaptive",
 				}
 				srv, err := lwt.NewServer(opts)
 				if err != nil {
@@ -856,7 +850,6 @@ func BenchmarkServeAdaptive(b *testing.B) {
 				b.ReportMetric(float64(m.Latency.Quantile(0.99))/1e6, "p99-ms")
 				if mode == "adaptive" {
 					b.ReportMetric(float64(m.Steals), "steals")
-					b.ReportMetric(float64(m.ScaleUps), "scaleups")
 				}
 				nsop := b.Elapsed().Nanoseconds() / int64(b.N)
 				key := cell{system: backend + "/" + mode}
@@ -872,7 +865,7 @@ func BenchmarkServeAdaptive(b *testing.B) {
 	fig := microbench.FigureJSON{
 		Figure:  11,
 		Pattern: "fig-adaptive",
-		Title:   "Adaptive shard pool under zipf-skewed load: static vs steal+autoscale",
+		Title:   "Shard pool under zipf-skewed load: static vs steal",
 		Env: microbench.EnvJSON{
 			GoVersion: runtime.Version(),
 			GOOS:      runtime.GOOS,
@@ -889,7 +882,7 @@ func BenchmarkServeAdaptive(b *testing.B) {
 			fig.Series = append(fig.Series, microbench.SeriesJSON{
 				System: backend + "/" + mode,
 				Points: []microbench.PointJSON{{
-					Threads: baseShards,
+					Threads: shards,
 					MeanNs:  sm.nsop, MinNs: sm.nsop, MaxNs: sm.nsop,
 					P99Ns: sm.p99.Nanoseconds(), Reps: 1,
 				}},

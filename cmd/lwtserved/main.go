@@ -36,7 +36,8 @@
 //
 // Flags:
 //
-//	-shards N          backend runtime shards per backend (0: one per CPU)
+//	-shards N          backend runtime shards per backend, fixed at startup
+//	                   (0: one per CPU)
 //	-router NAME       unkeyed routing policy: p2c (default), roundrobin, random
 //	-drain D           graceful-drain budget at shutdown (0: unbounded)
 //	-threads N         executors per shard
@@ -45,12 +46,6 @@
 //	-scheduler S       ready-pool policy per backend runtime
 //	-steal             idle shards steal unkeyed backlog from loaded ones
 //	                   (default on; keyed requests never move)
-//	-autoscale-max N   shard-pool ceiling per backend, all started with the
-//	                   backend (those past -shards parked); sustained
-//	                   saturation grows the routing set toward it,
-//	                   sustained idleness shrinks back to -shards
-//	                   (0: autoscaling off)
-//	-scale-interval D  autoscaler sample period
 //
 // Admission control maps to HTTP: a saturated backend answers 503 with
 // Retry-After (after one re-route to the least-loaded shard); pass
@@ -118,8 +113,6 @@ var (
 	traceDir  = flag.String("trace-dir", ".", "directory for flight-recorder dump files (SIGUSR2 and anomaly dumps)")
 	anomEvery = flag.Duration("anomaly-interval", serve.DefaultAnomalyInterval, "anomaly watchdog sample period")
 	steal     = flag.Bool("steal", true, "idle shards steal unkeyed queued requests from the most-loaded shard (keyed work never moves)")
-	scaleMax  = flag.Int("autoscale-max", 0, "autoscaler shard ceiling per backend (0 or <= -shards: autoscaling off)")
-	scaleTick = flag.Duration("scale-interval", serve.DefaultScaleInterval, "autoscaler sample period")
 )
 
 // dumpTrace snapshots the process-global flight recorder and writes it
@@ -172,7 +165,6 @@ func (g *registry) server(backend string) (*lwt.Server, error) {
 		QueueDepth: *queue, MaxInFlight: *inflight,
 		DrainTimeout: *drain,
 		Steal:        *steal,
-		Scale:        lwt.AutoScale{MaxShards: *scaleMax, Interval: *scaleTick},
 		// Anomaly-triggered flight-recorder dump: the watchdog fires
 		// while the trace window still holds the spike it detected.
 		AnomalyInterval: *anomEvery,

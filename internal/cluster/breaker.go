@@ -127,41 +127,45 @@ func (b *breaker) canRoute(now time.Time) bool {
 // allow is the attempt-time gate. Closed admits; open admits only once
 // the cooldown has elapsed — that admission IS the transition to
 // half-open, and the caller becomes the probe; half-open admits no one
-// while the probe is outstanding. Every admitted attempt must be
-// settled with ok or fail.
-func (b *breaker) allow(now time.Time) bool {
+// while the probe is outstanding. It reports whether the attempt is
+// admitted and whether it is the probe. Every admitted attempt must be
+// settled with ok, fail or drop, handing probe back: only the probe's
+// own outcome moves a half-open breaker, so an attempt admitted while
+// closed that settles late — after the breaker opened and its cooldown
+// passed — neither closes it, re-opens it, nor frees the probe slot.
+func (b *breaker) allow(now time.Time) (admitted, probe bool) {
 	if b == nil || b.pol.Disabled {
-		return true
+		return true, false
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case BreakerClosed:
-		return true
+		return true, false
 	case BreakerOpen:
 		if now.Sub(b.openedAt) < b.pol.Cooldown {
-			return false
+			return false, false
 		}
 		b.transition(BreakerHalfOpen)
 		b.probing = true
-		return true
+		return true, true
 	default: // half-open
 		if b.probing {
-			return false
+			return false, false
 		}
 		b.probing = true
-		return true
+		return true, true
 	}
 }
 
 // ok settles one admitted attempt that succeeded.
-func (b *breaker) ok(now time.Time) {
+func (b *breaker) ok(now time.Time, probe bool) {
 	if b == nil || b.pol.Disabled {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == BreakerHalfOpen {
+	if probe {
 		// The probe came back: the worker is serving again. Reset the
 		// window so stale failures cannot immediately re-open.
 		b.reset()
@@ -173,13 +177,13 @@ func (b *breaker) ok(now time.Time) {
 
 // fail settles one admitted attempt that failed (transport error or
 // attempt timeout — a worker 503 is backpressure, not breaker fodder).
-func (b *breaker) fail(now time.Time) {
+func (b *breaker) fail(now time.Time, probe bool) {
 	if b == nil || b.pol.Disabled {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == BreakerHalfOpen {
+	if probe {
 		// The probe failed: back to open, cooldown restarts.
 		b.probing = false
 		b.openedAt = now
@@ -198,15 +202,13 @@ func (b *breaker) fail(now time.Time) {
 // the worker — the client vanished mid-attempt, or a hedge race
 // cancelled it. Nothing is recorded; a half-open probe slot is
 // released so the next attempt re-probes.
-func (b *breaker) drop() {
-	if b == nil || b.pol.Disabled {
+func (b *breaker) drop(probe bool) {
+	if b == nil || b.pol.Disabled || !probe {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == BreakerHalfOpen {
-		b.probing = false
-	}
+	b.probing = false
 }
 
 // record pushes one outcome into the sliding window. Called under mu.

@@ -22,23 +22,23 @@ func TestBreakerOpensOnFailureRatio(t *testing.T) {
 	b, log := bfix(t)
 	now := time.Now()
 	for i := 0; i < 3; i++ {
-		if !b.allow(now) {
+		if admitted, _ := b.allow(now); !admitted {
 			t.Fatalf("closed breaker refused attempt %d", i)
 		}
-		b.fail(now)
+		b.fail(now, false)
 	}
 	if got := b.State(); got != BreakerClosed {
 		t.Fatalf("state after 3 failures (< MinSamples) = %s, want closed", breakerStateName(got))
 	}
 	b.allow(now)
-	b.fail(now) // 4th sample: 4/4 failed >= 0.5
+	b.fail(now, false) // 4th sample: 4/4 failed >= 0.5
 	if got := b.State(); got != BreakerOpen {
 		t.Fatalf("state after 4/4 failures = %s, want open", breakerStateName(got))
 	}
 	if len(*log) != 1 || (*log)[0] != [2]int32{BreakerClosed, BreakerOpen} {
 		t.Fatalf("transition log = %v, want one closed->open", *log)
 	}
-	if b.allow(now) {
+	if admitted, _ := b.allow(now); admitted {
 		t.Fatal("open breaker admitted an attempt inside the cooldown")
 	}
 	if ra := b.retryAfter(now); ra <= 0 || ra > 50*time.Millisecond {
@@ -56,9 +56,9 @@ func TestBreakerSuccessesKeepItClosed(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		b.allow(now)
 		if i < 3 {
-			b.fail(now)
+			b.fail(now, false)
 		} else {
-			b.ok(now)
+			b.ok(now, false)
 		}
 	}
 	if got := b.State(); got != BreakerClosed {
@@ -75,7 +75,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	now := time.Now()
 	for i := 0; i < 4; i++ {
 		b.allow(now)
-		b.fail(now)
+		b.fail(now, false)
 	}
 	if b.State() != BreakerOpen {
 		t.Fatal("setup: breaker not open")
@@ -84,23 +84,23 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	if !b.canRoute(later) {
 		t.Fatal("canRoute = false after cooldown, want probe-eligible")
 	}
-	if !b.allow(later) {
+	if admitted, probe := b.allow(later); !admitted || !probe {
 		t.Fatal("post-cooldown attempt refused, want admitted as probe")
 	}
 	if b.State() != BreakerHalfOpen {
 		t.Fatalf("state after probe admission = %s, want half-open", breakerStateName(b.State()))
 	}
-	if b.allow(later) {
+	if admitted, _ := b.allow(later); admitted {
 		t.Fatal("second attempt admitted while probe outstanding")
 	}
-	b.ok(later)
+	b.ok(later, true)
 	if b.State() != BreakerClosed {
 		t.Fatalf("state after probe success = %s, want closed", breakerStateName(b.State()))
 	}
 	// The reset must forget pre-open failures: one new failure cannot
 	// re-open.
 	b.allow(later)
-	b.fail(later)
+	b.fail(later, false)
 	if b.State() != BreakerClosed {
 		t.Fatal("breaker re-opened on first failure after reset — window not cleared")
 	}
@@ -126,21 +126,21 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	now := time.Now()
 	for i := 0; i < 4; i++ {
 		b.allow(now)
-		b.fail(now)
+		b.fail(now, false)
 	}
 	later := now.Add(60 * time.Millisecond)
-	if !b.allow(later) {
+	if admitted, probe := b.allow(later); !admitted || !probe {
 		t.Fatal("probe refused")
 	}
-	b.fail(later)
+	b.fail(later, true)
 	if b.State() != BreakerOpen {
 		t.Fatalf("state after probe failure = %s, want open", breakerStateName(b.State()))
 	}
 	// Cooldown restarted from the probe failure, not the original open.
-	if b.allow(later.Add(40 * time.Millisecond)) {
+	if admitted, _ := b.allow(later.Add(40 * time.Millisecond)); admitted {
 		t.Fatal("attempt admitted before the restarted cooldown elapsed")
 	}
-	if !b.allow(later.Add(60 * time.Millisecond)) {
+	if admitted, _ := b.allow(later.Add(60 * time.Millisecond)); !admitted {
 		t.Fatal("attempt refused after the restarted cooldown elapsed")
 	}
 }
@@ -153,20 +153,20 @@ func TestBreakerDropReleasesProbe(t *testing.T) {
 	now := time.Now()
 	for i := 0; i < 4; i++ {
 		b.allow(now)
-		b.fail(now)
+		b.fail(now, false)
 	}
 	later := now.Add(60 * time.Millisecond)
-	if !b.allow(later) {
+	if admitted, probe := b.allow(later); !admitted || !probe {
 		t.Fatal("probe refused")
 	}
-	b.drop()
+	b.drop(true)
 	if b.State() != BreakerHalfOpen {
 		t.Fatalf("state after dropped probe = %s, want half-open", breakerStateName(b.State()))
 	}
-	if !b.allow(later) {
+	if admitted, probe := b.allow(later); !admitted || !probe {
 		t.Fatal("next attempt refused after the dropped probe released the slot")
 	}
-	b.ok(later)
+	b.ok(later, true)
 	if b.State() != BreakerClosed {
 		t.Fatal("re-probe success did not close the breaker")
 	}
@@ -178,21 +178,21 @@ func TestBreakerDisabled(t *testing.T) {
 	b := newBreaker(BreakerPolicy{Disabled: true})
 	now := time.Now()
 	for i := 0; i < 100; i++ {
-		if !b.allow(now) {
+		if admitted, _ := b.allow(now); !admitted {
 			t.Fatal("disabled breaker refused an attempt")
 		}
-		b.fail(now)
+		b.fail(now, false)
 	}
 	if b.State() != BreakerClosed {
 		t.Fatal("disabled breaker left closed state")
 	}
 	var nb *breaker
-	if !nb.allow(now) || !nb.canRoute(now) {
+	if admitted, _ := nb.allow(now); !admitted || !nb.canRoute(now) {
 		t.Fatal("nil breaker refused an attempt")
 	}
-	nb.ok(now)
-	nb.fail(now)
-	nb.drop()
+	nb.ok(now, false)
+	nb.fail(now, false)
+	nb.drop(false)
 	if nb.State() != BreakerClosed || nb.retryAfter(now) != 0 {
 		t.Fatal("nil breaker reported non-closed state")
 	}
@@ -209,7 +209,7 @@ func TestBreakerMinSamplesClampedToWindow(t *testing.T) {
 	now := time.Now()
 	for i := 0; i < 8; i++ {
 		b.allow(now)
-		b.fail(now)
+		b.fail(now, false)
 	}
 	if b.State() != BreakerOpen {
 		t.Fatal("breaker with window < default MinSamples never opened")
@@ -225,17 +225,17 @@ func TestBreakerSlidingWindowEvicts(t *testing.T) {
 	// 3 failures, then 8 successes push them all out of the window-8.
 	for i := 0; i < 3; i++ {
 		b.allow(now)
-		b.fail(now)
+		b.fail(now, false)
 	}
 	for i := 0; i < 8; i++ {
 		b.allow(now)
-		b.ok(now)
+		b.ok(now, false)
 	}
 	// 3 fresh failures: window now holds 3/8 = 37.5% < 50%. Without
 	// eviction the stale 3 would make it 6 and trip.
 	for i := 0; i < 3; i++ {
 		b.allow(now)
-		b.fail(now)
+		b.fail(now, false)
 	}
 	if got := b.State(); got != BreakerClosed {
 		t.Fatalf("state = %s, want closed (stale failures must age out)", breakerStateName(got))
@@ -259,7 +259,7 @@ func TestWorkerRoutableComposes(t *testing.T) {
 	w0 := all[0]
 	for i := 0; i < w0.breaker.pol.MinSamples; i++ {
 		w0.breaker.allow(now)
-		w0.breaker.fail(now)
+		w0.breaker.fail(now, false)
 	}
 	if w0.Routable(now) {
 		t.Fatal("breaker-open worker still Routable")

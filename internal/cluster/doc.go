@@ -51,7 +51,10 @@
 // candidate is breaker-open is answered 503 with Retry-After set to
 // the longest remaining cooldown. Attempts cancelled by the client or
 // by a hedge race settle as drops — they say nothing about the worker
-// and never move the breaker. Transitions are traced (trace.KindBreaker,
+// and never move the breaker. Only the probe's own outcome moves a
+// half-open breaker: an attempt admitted while closed that settles
+// after the breaker opened is recorded, never taken for the probe.
+// Transitions are traced (trace.KindBreaker,
 // Unit = new state) and exported (lwt_gate_breaker_state,
 // lwt_gate_worker_breaker_opens_total).
 //

@@ -242,7 +242,8 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		tried[wk] = true
-		if !wk.breaker.allow(now) {
+		admitted, probe := wk.breaker.allow(now)
+		if !admitted {
 			// The breaker is resting this worker: fail fast past it —
 			// the attempt slot moves to the next candidate without
 			// waiting out a timeout against a known-sick process.
@@ -257,7 +258,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		wk.requests.Add(1)
 
-		resp, rwk, finish, err := g.attempt(wk, r, deadline, retryable, tried)
+		resp, rwk, finish, err := g.attempt(wk, probe, r, deadline, retryable, tried)
 		wk = rwk
 		if err != nil {
 			finish()
@@ -311,16 +312,17 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // attempt runs one admitted attempt against wk — hedged with a second
 // worker when enabled and safe — settling every launched attempt's
-// breaker and health state. It returns the winning response, the
-// worker that produced it, and a finish func the caller must invoke
-// once done with the response (it releases the attempt's context).
-func (g *Gateway) attempt(wk *Worker, r *http.Request, deadline time.Time, retryable bool, tried map[*Worker]bool) (*http.Response, *Worker, func(), error) {
+// breaker and health state; probe is what wk's breaker.allow reported.
+// It returns the winning response, the worker that produced it, and a
+// finish func the caller must invoke once done with the response (it
+// releases the attempt's context).
+func (g *Gateway) attempt(wk *Worker, probe bool, r *http.Request, deadline time.Time, retryable bool, tried map[*Worker]bool) (*http.Response, *Worker, func(), error) {
 	if g.hedge && retryable && r.URL.Query().Get("key") == "" {
-		return g.hedgedAttempt(wk, r, deadline, tried)
+		return g.hedgedAttempt(wk, probe, r, deadline, tried)
 	}
 	ctx, cancel := g.attemptCtx(r, deadline)
 	resp, err := g.forward(ctx, wk, r, deadline)
-	g.settle(wk, ctx, err)
+	g.settle(wk, probe, ctx, err)
 	return resp, wk, cancel, err
 }
 
@@ -344,20 +346,21 @@ func (g *Gateway) attemptCtx(r *http.Request, deadline time.Time) (context.Conte
 // health state. A plain cancellation (the client vanished, or a hedge
 // race aborted the loser) says nothing about the worker and is
 // dropped; an attempt timeout or transport failure charges both the
-// breaker window and the consecutive-failure health counter.
-func (g *Gateway) settle(wk *Worker, ctx context.Context, err error) {
+// breaker window and the consecutive-failure health counter. probe is
+// what wk's breaker.allow reported for the attempt.
+func (g *Gateway) settle(wk *Worker, probe bool, ctx context.Context, err error) {
 	now := time.Now()
 	if err == nil {
-		wk.breaker.ok(now)
+		wk.breaker.ok(now, probe)
 		return
 	}
 	if ctx.Err() == context.Canceled {
-		wk.breaker.drop()
+		wk.breaker.drop(probe)
 		return
 	}
 	wk.conns.Add(1)
 	g.table.NoteFailure(wk)
-	wk.breaker.fail(now)
+	wk.breaker.fail(now, probe)
 }
 
 // hedgedAttempt fires the primary attempt and, if no response has
@@ -365,7 +368,7 @@ func (g *Gateway) settle(wk *Worker, ctx context.Context, err error) {
 // another breaker-admitting worker; the first useful response wins and
 // the loser is cancelled. Only reached for idempotent, unkeyed,
 // body-less requests.
-func (g *Gateway) hedgedAttempt(primary *Worker, r *http.Request, deadline time.Time, tried map[*Worker]bool) (*http.Response, *Worker, func(), error) {
+func (g *Gateway) hedgedAttempt(primary *Worker, probe bool, r *http.Request, deadline time.Time, tried map[*Worker]bool) (*http.Response, *Worker, func(), error) {
 	type outcome struct {
 		resp *http.Response
 		err  error
@@ -373,16 +376,16 @@ func (g *Gateway) hedgedAttempt(primary *Worker, r *http.Request, deadline time.
 	}
 	ch := make(chan outcome, 2)
 	cancels := make(map[*Worker]context.CancelFunc, 2)
-	launch := func(wk *Worker) {
+	launch := func(wk *Worker, probe bool) {
 		ctx, cancel := g.attemptCtx(r, deadline)
 		cancels[wk] = cancel
 		go func() {
 			resp, err := g.forward(ctx, wk, r, deadline)
-			g.settle(wk, ctx, err)
+			g.settle(wk, probe, ctx, err)
 			ch <- outcome{resp, err, wk}
 		}()
 	}
-	launch(primary)
+	launch(primary, probe)
 	launched := 1
 	timer := time.NewTimer(g.hedgeDelay())
 	var first outcome
@@ -390,12 +393,14 @@ func (g *Gateway) hedgedAttempt(primary *Worker, r *http.Request, deadline time.
 	case first = <-ch:
 		timer.Stop()
 	case <-timer.C:
-		if second := g.table.PickUnkeyed(tried); second != nil && second.breaker.allow(time.Now()) {
-			tried[second] = true
-			second.requests.Add(1)
-			g.hedges.Add(1)
-			launched = 2
-			launch(second)
+		if second := g.table.PickUnkeyed(tried); second != nil {
+			if admitted, probe := second.breaker.allow(time.Now()); admitted {
+				tried[second] = true
+				second.requests.Add(1)
+				g.hedges.Add(1)
+				launched = 2
+				launch(second, probe)
+			}
 		}
 		first = <-ch
 	}

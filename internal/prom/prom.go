@@ -65,7 +65,10 @@ func (w *Writer) Sample(name string, value float64, labels ...string) {
 			if i > 0 {
 				w.b.WriteByte(',')
 			}
-			fmt.Fprintf(&w.b, "%s=%q", labels[i], escapeLabel(labels[i+1]))
+			w.b.WriteString(labels[i])
+			w.b.WriteString(`="`)
+			w.b.WriteString(labelEscaper.Replace(labels[i+1]))
+			w.b.WriteByte('"')
 		}
 		w.b.WriteByte('}')
 	}
@@ -121,15 +124,20 @@ func escapeHelp(s string) string {
 	return strings.NewReplacer(`\`, `\\`, "\n", `\n`).Replace(s)
 }
 
-func escapeLabel(s string) string {
-	// %q handles quote and backslash; fold newlines first so the line
-	// structure survives.
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
+// A label value escapes exactly what the 0.0.4 format allows it to:
+// backslash, double quote and newline. Every other byte, a tab or a '}'
+// included, is written as is.
+var (
+	labelEscaper   = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	labelUnescaper = strings.NewReplacer(`\\`, `\`, `\"`, `"`, `\n`, "\n")
+)
 
 var (
-	nameRe  = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
-	lineRe  = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{([^}]*)\})? (\S+)( [0-9-]+)?$`)
+	nameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	// lineRe splits a sample line into name, label body and value. The
+	// body is quote-aware: a quoted label value may hold '}' and ','
+	// and the three escapes labelEscaper writes, nothing else.
+	lineRe  = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{((?:[^"}]|"(?:[^"\\]|\\[\\"n])*")*)\})? (\S+)( [0-9-]+)?$`)
 	labelRe = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
 )
 
@@ -290,8 +298,8 @@ func Value(page, name string, want map[string]string) (float64, bool) {
 			for _, kv := range splitLabels(m[3]) {
 				if eq := strings.Index(kv, "="); eq >= 0 {
 					v := kv[eq+1:]
-					if uq, err := strconv.Unquote(v); err == nil {
-						v = uq
+					if len(v) >= 2 && v[0] == '"' && v[len(v)-1] == '"' {
+						v = labelUnescaper.Replace(v[1 : len(v)-1])
 					}
 					got[kv[:eq]] = v
 				}

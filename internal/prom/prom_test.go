@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // TestWriterGolden pins the exact page a small Writer produces — the
@@ -73,6 +74,34 @@ func TestWriterEscaping(t *testing.T) {
 	if err := Lint(strings.NewReader(w.String())); err != nil {
 		t.Fatalf("escaped page fails lint: %v\n%s", err, w.String())
 	}
+	if want := `esc{l="va\"l\nue"} 1`; !strings.Contains(w.String(), want+"\n") {
+		t.Fatalf("escaped sample missing %q:\n%s", want, w.String())
+	}
+}
+
+// FuzzPromRoundTrip: whatever UTF-8 a label value holds and whatever
+// finite value a sample carries, the Writer's page passes Lint and
+// Value reads the sample back by that label.
+func FuzzPromRoundTrip(f *testing.F) {
+	for _, v := range []string{"a}b", "\t", "\n", `\`, `"`, `a,b="c"`, "", "π}\\n"} {
+		f.Add(v, 1.5)
+	}
+	f.Fuzz(func(t *testing.T, label string, value float64) {
+		if !utf8.ValidString(label) || math.IsNaN(value) || math.IsInf(value, 0) {
+			t.Skip()
+		}
+		w := NewWriter()
+		w.Family("m_total", "Fuzzed.", Counter)
+		w.Sample("m_total", value, "backend", label, "shard", "0")
+		page := w.String()
+		if err := Lint(strings.NewReader(page)); err != nil {
+			t.Fatalf("lint: %v\npage:\n%s", err, page)
+		}
+		got, ok := Value(page, "m_total", map[string]string{"backend": label, "shard": "0"})
+		if !ok || got != value {
+			t.Fatalf("Value(backend=%q) = %v, %v; want %v\npage:\n%s", label, got, ok, value, page)
+		}
+	})
 }
 
 // TestLintRejects feeds the linter the malformations it exists to catch.

@@ -14,11 +14,11 @@ import (
 // attributes the legacy Submit* permutations encoded in their names.
 // The zero value is a plain submission: unkeyed, no deadline, blocking.
 type Req struct {
-	// Key, when non-empty, pins the request to one base shard by
-	// FNV-1a hash: every submission carrying the same key lands on the
-	// same backend runtime for the server's whole lifetime, keeping
-	// shard-local state warm. Keyed requests never re-route, never
-	// autoscale onto headroom shards, and are never stolen.
+	// Key, when non-empty, pins the request to one shard by FNV-1a
+	// hash: every submission carrying the same key lands on the same
+	// backend runtime for the server's whole lifetime, keeping
+	// shard-local state warm. Keyed requests never re-route and are
+	// never stolen.
 	Key string
 	// Deadline is the request's end-to-end completion budget (zero:
 	// none). A request still queued when it passes is shed before
@@ -231,7 +231,7 @@ func (sh *shard) push(r *request) {
 // race; that costs the steal, never the request — the victim's own pump
 // still serves its queue.
 func (s *Server) kickThief(victim *shard) {
-	for _, sh := range s.shards() {
+	for _, sh := range s.all {
 		if sh != victim && sh.sleep.Load() && sh.room() > 0 && sh.kick() {
 			return
 		}
@@ -276,7 +276,7 @@ func (sh *shard) tryEnqueue(r *request) bool {
 	return true
 }
 
-// leastLoaded scans the routing set for the shard with the smallest
+// leastLoaded scans the shards for the shard with the smallest
 // depth — the re-route target and the blocking submit's parking spot.
 // The scan is O(shards) of atomic loads, off the fast path (it runs
 // only after the router's pick saturated).
@@ -308,7 +308,7 @@ func (sub *Submitter) Server() *Server { return sub.s }
 // With the zero Req, Do blocks while the queues are full until space
 // frees, ctx is cancelled, or the server closes; a deadline on ctx is
 // adopted as the request's completion budget. Req.Key pins the request
-// to its key's base shard, Req.Deadline sets an explicit budget, and
+// to its key's shard, Req.Deadline sets an explicit budget, and
 // Req.NonBlocking turns a full queue into an immediate ErrSaturated.
 func Do[T any](sub *Submitter, ctx context.Context, fn func() (T, error), req Req) (*Future[T], error) {
 	return do(sub, ctx, req, fn, nil)
@@ -347,15 +347,15 @@ func do[T any](sub *Submitter, ctx context.Context, req Req, fn func() (T, error
 	return &c.Future, nil
 }
 
-// route picks the shard for one submission: the pinned base shard for
-// a keyed request (pin >= 0, always below base), the router's pick over
-// the routing set otherwise.
+// route picks the shard for one submission: the pinned shard for a
+// keyed request (pin >= 0), the router's pick over every shard
+// otherwise.
 func (s *Server) route(r *request, pin int) *shard {
 	if pin >= 0 {
 		r.keyed = true
 		return s.all[pin]
 	}
-	return s.all[s.router.Pick(int(s.live.Load()), s.load)]
+	return s.all[s.router.Pick(len(s.all), s.load)]
 }
 
 // submit is the one admission path, two-level: the router's pick is
@@ -375,7 +375,7 @@ func (s *Server) submit(r *request, pin int, block, adopted bool) error {
 	}
 	alt := sh
 	if pin < 0 {
-		if alt = leastLoaded(s.shards()); alt != sh && alt.tryEnqueue(r) {
+		if alt = leastLoaded(s.all); alt != sh && alt.tryEnqueue(r) {
 			return nil
 		}
 	}

@@ -25,31 +25,19 @@ const (
 	ewmaShift = 3
 )
 
-// thresholds configure a detector. Both sets are fixed — no randomness,
-// no knobs — so a given metrics sequence always classifies the same way
-// and the tests can drive a detector tick by tick.
-type thresholds struct {
-	factor   int           // a P99 above factor × its baseline spikes...
-	floor    time.Duration // ...when it also exceeds floor
-	spikeRun int           // consecutive spiking ticks that complete a spike
-	hotRun   int           // consecutive ticks of saturation growth or load that complete a hot run
-	coldRun  int           // consecutive calm ticks that complete a cold run; 0 never does
-	cooldown int           // ticks held after any verdict
-}
-
-var (
-	// anomalyThresholds arm the watchdog. One spiking tick fires, so the
-	// dump still holds the spike; the floor keeps a quiet server whose
-	// P99 wobbles between 40µs and 200µs from tripping. One full queue is
-	// backpressure working, three ticks of it an incident, and a 30-tick
-	// cooldown makes one incident one dump.
-	anomalyThresholds = thresholds{factor: 4, floor: 10 * time.Millisecond, spikeRun: 1, hotRun: 3, cooldown: 30}
-	// scaleThresholds arm the autoscaler: a gentler factor, because
-	// scaling should engage before the incident rather than report it;
-	// three hot ticks grow the pool and eight calm ones shrink it (eager
-	// up, reluctant down), with four ticks between decisions for the
-	// signals to absorb the new shard count.
-	scaleThresholds = thresholds{factor: 2, spikeRun: 3, hotRun: 3, coldRun: 8, cooldown: 4}
+// The watchdog's thresholds are fixed — no randomness, no knobs — so a
+// given metrics sequence always classifies the same way and the tests
+// can drive a detector tick by tick. One spiking tick fires, so the
+// dump still holds the spike; the floor keeps a quiet server whose P99
+// wobbles between 40µs and 200µs from tripping. One full queue is
+// backpressure working, three ticks of it an incident, and a 30-tick
+// cooldown makes one incident one dump.
+const (
+	spikeFactor   = 4                     // a P99 above spikeFactor × its baseline spikes...
+	spikeFloor    = 10 * time.Millisecond // ...when it also exceeds spikeFloor
+	spikeRun      = 1                     // consecutive spiking ticks that complete a spike
+	hotRun        = 3                     // consecutive ticks of saturation growth that complete a hot run
+	cooldownTicks = 30                    // ticks held after any verdict
 )
 
 // verdict is what one tick completes.
@@ -58,8 +46,7 @@ type verdict int
 const (
 	hold  verdict = iota
 	spike         // P99 over its baseline for spikeRun ticks
-	hot           // saturation growth or load for hotRun ticks
-	cold          // calm for coldRun ticks
+	hot           // saturation growth for hotRun ticks
 )
 
 // detector turns a watcher's Metrics samples into verdicts. Each tick it
@@ -71,7 +58,6 @@ const (
 // gradual regime change stops looking anomalous. Not safe for concurrent
 // use; one watcher goroutine owns each detector.
 type detector struct {
-	th   thresholds
 	last lathist.Counts // Metrics.Latency at the previous tick
 	// p99 is the last tick's interval P99, 0 below minWindow completions.
 	p99           time.Duration
@@ -80,21 +66,19 @@ type detector struct {
 	lastSaturated uint64
 	spikeRun      int
 	hotRun        int
-	coldRun       int
 	cooldown      int
 }
 
-// observe feeds one tick. loaded and calm are the watcher's own load
-// signals; a watcher without any passes false for both.
-func (d *detector) observe(m Metrics, loaded, calm bool) verdict {
+// observe feeds one tick.
+func (d *detector) observe(m Metrics) verdict {
 	win := m.Latency.Sub(d.last)
 	d.last = m.Latency
 	d.p99 = 0
 	if win.Total() >= minWindow {
 		d.p99 = win.Quantile(0.99)
 	}
-	spiking := d.warm >= spikeWarmup && d.p99 > d.th.floor &&
-		d.p99 > time.Duration(d.th.factor)*d.baseline
+	spiking := d.warm >= spikeWarmup && d.p99 > spikeFloor &&
+		d.p99 > spikeFactor*d.baseline
 	// Skip the spiking tick itself (it would drag the baseline toward the
 	// anomaly); absorb everything else.
 	if d.p99 > 0 && !spiking {
@@ -108,8 +92,7 @@ func (d *detector) observe(m Metrics, loaded, calm bool) verdict {
 	satGrew := m.Saturated > d.lastSaturated
 	d.lastSaturated = m.Saturated
 	d.spikeRun = extend(d.spikeRun, spiking)
-	d.hotRun = extend(d.hotRun, satGrew || loaded)
-	d.coldRun = extend(d.coldRun, calm && !satGrew && !spiking)
+	d.hotRun = extend(d.hotRun, satGrew)
 
 	if d.cooldown > 0 {
 		d.cooldown--
@@ -117,16 +100,14 @@ func (d *detector) observe(m Metrics, loaded, calm bool) verdict {
 	}
 	var v verdict
 	switch {
-	case d.spikeRun >= d.th.spikeRun:
+	case d.spikeRun >= spikeRun:
 		v, d.spikeRun = spike, 0
-	case d.hotRun >= d.th.hotRun:
+	case d.hotRun >= hotRun:
 		v, d.hotRun = hot, 0
-	case d.th.coldRun > 0 && d.coldRun >= d.th.coldRun:
-		v, d.coldRun = cold, 0
 	default:
 		return hold
 	}
-	d.cooldown = d.th.cooldown
+	d.cooldown = cooldownTicks
 	return v
 }
 
@@ -150,19 +131,19 @@ func (s *Server) watchAnomalies() {
 	}
 	tick := time.NewTicker(iv)
 	defer tick.Stop()
-	det := detector{th: anomalyThresholds}
+	var det detector
 	for {
 		select {
 		case <-s.quit:
 			return
 		case <-tick.C:
 			m := s.Metrics()
-			switch det.observe(m, false, false) {
+			switch det.observe(m) {
 			case spike:
 				s.opts.OnAnomaly(fmt.Sprintf("p99-spike: %v against baseline %v", det.p99, det.baseline), m)
 			case hot:
 				s.opts.OnAnomaly(fmt.Sprintf("sustained-saturation: rejections grew %d samples running (total %d)",
-					anomalyThresholds.hotRun, m.Saturated), m)
+					hotRun, m.Saturated), m)
 			}
 		}
 	}

@@ -8,77 +8,60 @@ import (
 	"repro/internal/lathist"
 )
 
-// feed drives a detector tick by tick the way a watcher does: each tick
-// adds one interval's completions to a lifetime histogram and hands the
-// detector the cumulative sample.
+// feed drives a detector tick by tick the way the watchdog does: each
+// tick adds one interval's completions to a lifetime histogram and hands
+// the detector the cumulative sample.
 type feed struct {
 	d   detector
 	lat lathist.Hist
 	m   Metrics
 }
 
-func newFeed(th thresholds) *feed { return &feed{d: detector{th: th}} }
-
-// tick completes n requests at lat and feeds the sample together with
-// the watcher's own load signals.
-func (f *feed) tick(lat time.Duration, n int, loaded, calm bool) verdict {
+// tick completes n requests at lat and feeds the sample.
+func (f *feed) tick(lat time.Duration, n int) verdict {
 	for i := 0; i < n; i++ {
 		f.lat.Observe(lat)
 	}
 	f.m.Latency = f.lat.Snapshot()
-	return f.d.observe(f.m, loaded, calm)
+	return f.d.observe(f.m)
 }
 
 // busy is a tick whose window holds a hundred requests at lat.
-func (f *feed) busy(lat time.Duration) verdict { return f.tick(lat, 100, false, false) }
+func (f *feed) busy(lat time.Duration) verdict { return f.tick(lat, 100) }
 
 // empty is a tick in which nothing completed.
-func (f *feed) empty(calm bool) verdict { return f.tick(0, 0, false, calm) }
+func (f *feed) empty() verdict { return f.tick(0, 0) }
 
-// forBoth runs check under each threshold set of the one detector.
-func forBoth(t *testing.T, check func(*testing.T, thresholds)) {
-	t.Run("anomaly", func(t *testing.T) { check(t, anomalyThresholds) })
-	t.Run("scale", func(t *testing.T) { check(t, scaleThresholds) })
-}
-
-// checkSpike: a steady baseline, then a 20x spike. The detector stays
-// quiet through warmup, completes a spike after th.spikeRun spiking
+// TestAnomalyP99Spike: a steady baseline, then a 20x spike. The detector
+// stays quiet through warmup, completes a spike after spikeRun spiking
 // ticks, and holds through the cooldown while the spike continues.
-func checkSpike(t *testing.T, th thresholds) {
-	f := newFeed(th)
+func TestAnomalyP99Spike(t *testing.T) {
+	var f feed
 	for i := 0; i < 10; i++ {
 		if v := f.busy(5 * time.Millisecond); v != hold {
 			t.Fatalf("verdict %d on steady baseline tick %d", v, i)
 		}
 	}
-	for i := 1; i < th.spikeRun; i++ {
+	for i := 1; i < spikeRun; i++ {
 		if v := f.busy(100 * time.Millisecond); v != hold {
-			t.Fatalf("verdict %d on spiking tick %d of %d", v, i, th.spikeRun)
+			t.Fatalf("verdict %d on spiking tick %d of %d", v, i, spikeRun)
 		}
 	}
 	if v := f.busy(100 * time.Millisecond); v != spike {
-		t.Fatalf("no spike after %d spiking ticks: verdict %d", th.spikeRun, v)
+		t.Fatalf("no spike after %d spiking ticks: verdict %d", spikeRun, v)
 	}
-	for i := 0; i < th.cooldown; i++ {
+	for i := 0; i < cooldownTicks; i++ {
 		if v := f.busy(100 * time.Millisecond); v != hold {
 			t.Fatalf("verdict %d during cooldown tick %d", v, i)
 		}
 	}
 }
 
-// TestAnomalyP99Spike: one spiking interval fires the watchdog.
-func TestAnomalyP99Spike(t *testing.T) { checkSpike(t, anomalyThresholds) }
-
-// TestScaleDetectorP99Spike: the autoscaler grows on a run of spiking
-// intervals even while the queues are shallower than the in-flight cap.
-func TestScaleDetectorP99Spike(t *testing.T) { checkSpike(t, scaleThresholds) }
-
 // TestAnomalyIdleFossilP99FiresOnce: a slow burst, then 10×(cooldown+1)
 // empty windows — exactly one fire. An empty window carries no P99, so
 // the idle server after the burst has no latency signal to re-fire on.
 func TestAnomalyIdleFossilP99FiresOnce(t *testing.T) {
-	th := anomalyThresholds
-	f := newFeed(th)
+	var f feed
 	fired := 0
 	count := func(v verdict) {
 		if v != hold {
@@ -88,48 +71,21 @@ func TestAnomalyIdleFossilP99FiresOnce(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		count(f.busy(5 * time.Millisecond))
 	}
-	for i := 0; i < th.spikeRun; i++ {
+	for i := 0; i < spikeRun; i++ {
 		count(f.busy(200 * time.Millisecond))
 	}
-	for i := 0; i < 10*(th.cooldown+1); i++ {
-		count(f.empty(false))
+	for i := 0; i < 10*(cooldownTicks+1); i++ {
+		count(f.empty())
 	}
 	if fired != 1 {
-		t.Fatalf("fired %d times across a burst and %d empty windows, want exactly 1", fired, 10*(th.cooldown+1))
-	}
-}
-
-// TestScaleDetectorStaleP99ShrinksIdlePool is its scale twin: after a
-// burst grows the pool, empty windows accumulate cold and the pool
-// shrinks.
-func TestScaleDetectorStaleP99ShrinksIdlePool(t *testing.T) {
-	th := scaleThresholds
-	f := newFeed(th)
-	for i := 0; i < spikeWarmup+1; i++ {
-		f.busy(time.Millisecond)
-	}
-	for i := 1; i < th.spikeRun; i++ {
-		f.busy(100 * time.Millisecond)
-	}
-	if v := f.busy(100 * time.Millisecond); v != spike {
-		t.Fatalf("burst: verdict %d, want spike (grow)", v)
-	}
-	want := max(th.coldRun, th.cooldown+1) // the cold run, unless the cooldown outlasts it
-	for i := 1; i <= want; i++ {
-		v := f.empty(true)
-		switch {
-		case i < want && v != hold:
-			t.Fatalf("empty window %d: verdict %d, want hold", i, v)
-		case i == want && v != cold:
-			t.Fatalf("empty window %d: verdict %d, want cold (shrink)", i, v)
-		}
+		t.Fatalf("fired %d times across a burst and %d empty windows, want exactly 1", fired, 10*(cooldownTicks+1))
 	}
 }
 
 // TestAnomalySpikeBelowFloorIgnored: a quiet server whose P99 wobbles
 // in the microseconds never trips the watchdog, however large the ratio.
 func TestAnomalySpikeBelowFloorIgnored(t *testing.T) {
-	f := newFeed(anomalyThresholds)
+	var f feed
 	for i := 0; i < 10; i++ {
 		f.busy(50 * time.Microsecond)
 	}
@@ -141,82 +97,35 @@ func TestAnomalySpikeBelowFloorIgnored(t *testing.T) {
 // TestAnomalyBaselineAbsorbsDrift: latency that grows gradually is a
 // regime change, not a spike — the EWMA must track it.
 func TestAnomalyBaselineAbsorbsDrift(t *testing.T) {
-	forBoth(t, func(t *testing.T, th thresholds) {
-		f := newFeed(th)
-		p99 := 5 * time.Millisecond
-		for i := 0; i < 200; i++ {
-			if v := f.busy(p99); v != hold {
-				t.Fatalf("verdict %d on gradual drift at tick %d (p99=%v)", v, i, p99)
-			}
-			p99 += p99 / 50 // +2% per tick, ~50x over the run
+	var f feed
+	p99 := 5 * time.Millisecond
+	for i := 0; i < 200; i++ {
+		if v := f.busy(p99); v != hold {
+			t.Fatalf("verdict %d on gradual drift at tick %d (p99=%v)", v, i, p99)
 		}
-	})
+		p99 += p99 / 50 // +2% per tick, ~50x over the run
+	}
 }
 
 // TestAnomalySustainedSaturation: the Saturated counter growing for
 // hotRun consecutive ticks completes a hot run; an isolated burst does
 // not.
 func TestAnomalySustainedSaturation(t *testing.T) {
-	forBoth(t, func(t *testing.T, th thresholds) {
-		f := newFeed(th)
-		f.m.Saturated = 10 // a one-tick burst, then flat
-		for i := 0; i < 6; i++ {
-			if v := f.empty(false); v != hold {
-				t.Fatalf("verdict %d after a one-tick burst", v)
-			}
-		}
-		for i := 1; i <= th.hotRun; i++ {
-			f.m.Saturated += 5
-			want := hold
-			if i == th.hotRun {
-				want = hot
-			}
-			if v := f.empty(false); v != want {
-				t.Fatalf("growing tick %d: verdict %d, want %d", i, v, want)
-			}
-		}
-	})
-}
-
-// TestScaleDetectorVerdicts drives the scale thresholds through the
-// watcher's load signals: sustained depth pressure completes a hot run
-// (grow), the cooldown separates decisions while the run keeps
-// accumulating, and a calm pool completes a cold run (shrink). The
-// anomaly thresholds never complete a cold run.
-func TestScaleDetectorVerdicts(t *testing.T) {
-	th := scaleThresholds
-	f := newFeed(th)
-	for i := 1; i < th.hotRun; i++ {
-		if v := f.tick(0, 0, true, false); v != hold {
-			t.Fatalf("loaded tick %d: verdict %d, want hold (run not complete)", i, v)
+	var f feed
+	f.m.Saturated = 10 // a one-tick burst, then flat
+	for i := 0; i < 6; i++ {
+		if v := f.empty(); v != hold {
+			t.Fatalf("verdict %d after a one-tick burst", v)
 		}
 	}
-	if v := f.tick(0, 0, true, false); v != hot {
-		t.Fatalf("loaded tick %d: verdict %d, want hot", th.hotRun, v)
-	}
-	for i := 0; i < th.cooldown; i++ {
-		if v := f.tick(0, 0, true, false); v != hold {
-			t.Fatalf("cooldown tick %d: verdict %d, want hold", i, v)
+	for i := 1; i <= hotRun; i++ {
+		f.m.Saturated += 5
+		want := hold
+		if i == hotRun {
+			want = hot
 		}
-	}
-	if v := f.tick(0, 0, true, false); v != hot {
-		t.Fatalf("post-cooldown loaded tick: verdict %d, want hot", v)
-	}
-
-	f = newFeed(th)
-	for i := 1; i < th.coldRun; i++ {
-		if v := f.empty(true); v != hold {
-			t.Fatalf("calm tick %d: verdict %d, want hold", i, v)
-		}
-	}
-	if v := f.empty(true); v != cold {
-		t.Fatalf("calm tick %d: verdict %d, want cold", th.coldRun, v)
-	}
-
-	g := newFeed(anomalyThresholds)
-	for i := 0; i < 100; i++ {
-		if v := g.empty(true); v != hold {
-			t.Fatalf("anomaly thresholds, calm tick %d: verdict %d, want hold", i, v)
+		if v := f.empty(); v != want {
+			t.Fatalf("growing tick %d: verdict %d, want %d", i, v, want)
 		}
 	}
 }

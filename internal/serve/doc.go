@@ -66,54 +66,40 @@
 // publishing the event: a push, a completion that frees room under a
 // non-empty queue or ends the last in-flight unit, an I/O park that
 // frees room, a peer's unkeyed backlog reaching two (with stealing on),
-// the autoscaler adding the shard to the routing set, Close, the drain
-// deadline, and the last producer leaving a closed server. A wake that
+// Close, the drain deadline, and the last producer leaving a closed
+// server. A wake that
 // brings nothing to launch steals or parks again at once: the budget
 // is spent only after work. Metrics.PumpParks counts the parks, so
 // whether the master is polling is a /metrics query, not a CPU
 // subtraction.
 //
-// # Adaptive pool
+// # Work stealing
 //
-// The pool reshapes itself around the offered load; three independent
-// mechanisms, all off by default:
-//
-//   - Work stealing (Options.Steal): a shard whose own queues are empty
-//     and whose executors have spare capacity takes queued unkeyed
-//     requests from the shard with the deepest unkeyed backlog and runs
-//     them itself — as the last step before its pump parks, and again
-//     whenever a push grows a peer's unkeyed backlog to two and kicks
-//     it awake; no timer re-scans the pool. Stealing never moves keyed work: each shard buffers
-//     keyed and unkeyed requests separately, and only the owning pump
-//     ever receives from the keyed queue, so the affinity contract —
-//     same key, same runtime, for the server's lifetime — holds by
-//     construction, not by policy. A stolen request stays Submitted on
-//     the shard that accepted it and becomes Completed (and Steals) on
-//     the thief, so per-shard Submitted/Completed drift under stealing
-//     while every aggregate identity below holds exactly.
-//   - Autoscaling (Options.Scale): a controller samples the aggregate
-//     Metrics and grows the routing set by one shard after sustained
-//     saturation (queue depth at the in-flight cap, ErrSaturated growth,
-//     or P99 over its EWMA baseline), up to AutoScale.MaxShards; a pool
-//     that stays cold longer shrinks by one. Keyed submissions hash over
-//     the base Options.Shards only, so scaling never remaps a key; the
-//     headroom shards carry unkeyed traffic. New starts all MaxShards
-//     shards and the headroom ones park at once, so the routing set is a
-//     prefix of a fixed shard array and a scale event moves its length
-//     with one CAS. Scale-down drains before removal: the shard leaves
-//     the routing set first (no new traffic), its pump runs down
-//     everything it had accepted, and the shard parks again — still
-//     owning its queues, so a submission that raced the scale-down is
-//     served, not stranded — until a later grow or Close.
+// The shard set is fixed when New starts it, as each of the paper's
+// runtimes fixes its executors at initialization; a deployment that
+// wants N shards sets Options.Shards to N. Within that set, work
+// stealing (Options.Steal, off by default) moves unkeyed load: a shard
+// whose own queues are empty and whose executors have spare capacity
+// takes queued unkeyed requests from the shard with the deepest unkeyed
+// backlog and runs them itself — as the last step before its pump
+// parks, and again whenever a push grows a peer's unkeyed backlog to
+// two and kicks it awake; no timer re-scans the pool. Stealing never
+// moves keyed work: each shard buffers keyed and unkeyed requests
+// separately, and only the owning pump ever receives from the keyed
+// queue, so the affinity contract — same key, same runtime, for the
+// server's lifetime — holds by construction, not by policy. A stolen
+// request stays Submitted on the shard that accepted it and becomes
+// Completed (and Steals) on the thief, so per-shard Submitted/Completed
+// drift under stealing while every aggregate identity below holds
+// exactly.
 //
 // # Observability
 //
 // Server.Metrics returns one Metrics snapshot per shard plus an
 // aggregate. The counters (Submitted, Completed, Saturated, Canceled,
-// Rejected, Failed, Panicked, Steals, PumpParks, ScaleUps/ScaleDowns) are monotonic
-// over the Server's lifetime — a shard outside the routing set keeps
-// reporting, so the per-shard slice never loses history; the
-// gauges (QueueDepth, InFlight, IOParked) are instantaneous.
+// Rejected, Failed, Panicked, Steals, PumpParks) are monotonic over the
+// Server's lifetime; the gauges (QueueDepth, InFlight, IOParked) are
+// instantaneous.
 // Invariants the fields keep:
 //
 //   - Admission accounting: InFlight counts requests that were accepted
@@ -149,8 +135,8 @@
 //     two, an atomic add per request). Metrics.Latency is its lifetime
 //     Counts: Quantile gives P50/P99 within 25 %, and the difference of
 //     two samples' Latency is the latency of the requests completed
-//     between them — the window by time the anomaly watchdog and the
-//     autoscaler judge. WriteProm folds the same counts onto
+//     between them — the window by time the anomaly watchdog judges.
+//     WriteProm folds the same counts onto
 //     power-of-two le bounds, so /metrics and Metrics never disagree.
 //   - Sched carries the shard queue's cumulative queue.Counts (pushes,
 //     pops, steals, contended CAS retries, empty polls, executor parks),
@@ -177,7 +163,7 @@
 //     launch, completion (Run, record, finish) and the handler
 //     contexts.
 //   - drain.go: Close and the per-shard shutdown (sweep).
-//   - scale.go: the autoscaler; detector.go: the anomaly and scale
-//     detector; router.go: routers and the key hash; future.go: Future;
-//     metrics.go and prom.go: Metrics and its Prometheus page.
+//   - detector.go: the anomaly watchdog and its detector; router.go:
+//     routers and the key hash; future.go: Future; metrics.go and
+//     prom.go: Metrics and its Prometheus page.
 package serve

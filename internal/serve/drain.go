@@ -11,8 +11,7 @@ import (
 // Close to completion (bounded by Options.DrainTimeout — past the
 // deadline, still-queued requests resolve to ErrClosed instead of
 // running), requests racing with Close resolve to ErrClosed, and each
-// shard's backend is finalized once its pump has drained — headroom
-// shards included. No accepted Future is left unresolved. Close blocks
+// shard's backend is finalized once its pump has drained. No accepted Future is left unresolved. Close blocks
 // until every pump has exited and is idempotent.
 func (s *Server) Close() {
 	if s.closed.CompareAndSwap(false, true) {
@@ -29,7 +28,7 @@ func (s *Server) Close() {
 	}
 }
 
-// kickAll kicks every shard's pump, base and headroom.
+// kickAll kicks every shard's pump.
 func (s *Server) kickAll() {
 	for _, sh := range s.all {
 		sh.kick()

@@ -40,10 +40,9 @@ type Metrics struct {
 	// Shard is the shard index this snapshot covers, or -1 for the
 	// whole-server aggregate.
 	Shard int
-	// Shards is the routing set's current size — base shards plus the
-	// headroom shards routed to. With autoscaling armed it moves between
-	// Options.Shards and AutoScale.MaxShards; the per-shard slice from
-	// ShardMetrics always covers all MaxShards shards.
+	// Shards is the server's shard count, Options.Shards after
+	// defaulting; the per-shard slice from ShardMetrics has one entry
+	// per shard.
 	Shards int
 	// Router is the name of the router spreading unkeyed submissions.
 	Router string
@@ -82,10 +81,6 @@ type Metrics struct {
 	// until a kick. A pump that polled instead would leave it flat while
 	// burning a core; a parked, quiet shard leaves it flat at no cost.
 	PumpParks uint64
-	// ScaleUps and ScaleDowns count autoscaler routing-set changes over
-	// the server's lifetime (aggregate view only; zero per shard).
-	ScaleUps   uint64
-	ScaleDowns uint64
 	// QueueDepth is the number of requests waiting in the submission
 	// queue right now.
 	QueueDepth int

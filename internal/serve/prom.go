@@ -38,17 +38,10 @@ func WriteProm(w io.Writer, views ...View) (int64, error) {
 		pw.Sample("lwt_serve_uptime_seconds", v.Aggregate.Uptime.Seconds(),
 			"backend", v.Aggregate.Backend)
 	}
-	pw.Family("lwt_serve_shards", "Shards currently in the routing set (autoscaling moves it).", prom.Gauge)
+	pw.Family("lwt_serve_shards", "Backend runtime shards serving (Options.Shards).", prom.Gauge)
 	for _, v := range views {
 		pw.Sample("lwt_serve_shards", float64(v.Aggregate.Shards),
 			"backend", v.Aggregate.Backend)
-	}
-	pw.Family("lwt_serve_scale_events_total", "Autoscaler routing-set changes, by direction.", prom.Counter)
-	for _, v := range views {
-		pw.Sample("lwt_serve_scale_events_total", float64(v.Aggregate.ScaleUps),
-			"backend", v.Aggregate.Backend, "direction", "up")
-		pw.Sample("lwt_serve_scale_events_total", float64(v.Aggregate.ScaleDowns),
-			"backend", v.Aggregate.Backend, "direction", "down")
 	}
 
 	counters := []struct {

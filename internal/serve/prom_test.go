@@ -41,7 +41,7 @@ func TestWritePromExposition(t *testing.T) {
 	// Families the scrape must carry.
 	for _, fam := range []string{
 		"lwt_serve_info", "lwt_serve_uptime_seconds",
-		"lwt_serve_shards", "lwt_serve_scale_events_total",
+		"lwt_serve_shards",
 		"lwt_serve_submitted_total", "lwt_serve_completed_total",
 		"lwt_serve_steals_total", "lwt_serve_pump_parks_total",
 		"lwt_serve_queue_depth", "lwt_serve_inflight", "lwt_serve_ioparked",

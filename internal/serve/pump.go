@@ -22,8 +22,8 @@ func (sh *shard) room() int {
 // event that can give a parked pump something to do calls it after
 // publishing the event: a push, a completion that frees room under a
 // queue or ends the last in-flight unit, an I/O park that frees room,
-// a steal-worthy backlog on a peer, the shard joining the routing set,
-// Close, the drain deadline and the last straggling producer. With the pump awake it is one atomic load;
+// a steal-worthy backlog on a peer, Close, the drain deadline and the
+// last straggling producer. With the pump awake it is one atomic load;
 // the flag's CAS elects one kicker per park, so every park is paired
 // with exactly one unpark. It reports whether it woke the pump.
 func (sh *shard) kick() bool {
@@ -128,8 +128,7 @@ func (sh *shard) pump(ready chan<- error) {
 			continue
 		}
 		// The budget stays spent across the park, as for a fresh pump:
-		// a wake that brings nothing of its own — a thief kick, or the
-		// kick that adds a headroom shard to the routing set — steals
+		// a wake that brings nothing of its own — a thief kick — steals
 		// at once instead of first polling for the budget.
 		sh.wait(park, sh.hasWork)
 	}
@@ -156,18 +155,13 @@ func (sh *shard) hasWork() bool {
 	return v != nil
 }
 
-// victim picks the steal victim: the routing-set member other than sh
-// with the deepest unkeyed backlog, and that depth. It is nil when no
-// peer has one or sh is outside the routing set — a shard outside it
-// neither steals nor is stolen from.
+// victim picks the steal victim: the shard other than sh with the
+// deepest unkeyed backlog, and that depth. It is nil when no peer has
+// one.
 func (sh *shard) victim() (*shard, int) {
-	set := sh.s.shards()
-	if sh.id >= len(set) {
-		return nil, 0
-	}
 	var victim *shard
 	best := 0
-	for _, v := range set {
+	for _, v := range sh.s.all {
 		if n := len(v.unkeyed); v != sh && n > best {
 			victim, best = v, n
 		}

@@ -62,10 +62,9 @@ type Options struct {
 	Scheduler string
 	// Shards is the number of independent backend runtimes the server
 	// starts, each behind its own queue and pump; <= 0 means
-	// runtime.NumCPU(). One shard reproduces the unsharded engine. This
-	// is also the keyed-affinity domain and the autoscaler's floor:
-	// keyed submissions hash over these base shards only, so growing or
-	// shrinking the pool never remaps a key.
+	// runtime.NumCPU(). One shard reproduces the unsharded engine. The
+	// pool is fixed for the server's lifetime: keyed submissions hash
+	// over it, and unkeyed ones are routed and stolen across it.
 	Shards int
 	// Router spreads unkeyed submissions across shards; nil means
 	// power-of-two-choices on shard depth (P2C). See RouterByName.
@@ -98,9 +97,6 @@ type Options struct {
 	// an idle pump steals before it parks, and a push that grows a
 	// shard's unkeyed backlog to two wakes one parked pump to steal it.
 	Steal bool
-	// Scale arms the shard autoscaler when Scale.MaxShards exceeds
-	// Shards; see AutoScale.
-	Scale AutoScale
 	// Tracer records one KindUser interval per request (submission to
 	// completion, Unit = request id) into a per-shard flight-recorder
 	// lane (Exec = -(shard+1): the work ran on some backend executor,
@@ -131,28 +127,14 @@ type Options struct {
 type Server struct {
 	opts   Options
 	router Router
-	// base is the configured shard count: the keyed-affinity hash
-	// domain and the autoscaler's floor. Base shards are never removed
-	// from the routing set.
-	base int
-	// all is every shard, base and headroom, in id order: the
-	// Scale.MaxShards shards New starts, never changed after it, so it
-	// is read without a lock. It is the metrics domain: a shard outside
-	// the routing set keeps its counters and its parked pump, which
-	// still owns its queues, so a submission that raced a scale-down is
-	// served, not stranded.
+	// all is every shard in id order: the Options.Shards shards New
+	// starts, never changed after it, so it is read without a lock. It
+	// is the routing, keyed-hash, stealing and metrics domain alike.
 	all []*shard
-	// live is the routing set's size: unkeyed submissions land on
-	// all[:live]. The autoscaler moves it between base and len(all).
-	live atomic.Int32
 	// load is the router's probe over all, built once so a Pick passes
 	// it without allocating a closure per submission.
 	load func(i int) int
 	rec  *trace.Recorder
-	// scaleRing is the autoscaler's trace lane: one KindUser instant
-	// per scale event, Unit = the new routing-set size.
-	scaleRing            *trace.Ring
-	scaleUps, scaleDowns atomic.Uint64
 
 	quit   chan struct{}
 	closed atomic.Bool
@@ -168,12 +150,10 @@ type Server struct {
 	traceMask uint64
 }
 
-// New starts a server: it spawns one pump goroutine per shard — base
-// and autoscaler headroom alike, Scale.MaxShards in all — each
+// New starts a server: it spawns one pump goroutine per shard, each
 // initializing its own instance of the named backend, and returns once
 // every shard is serving (or any initialization failed, in which case
-// the shards that did start are torn down). Headroom shards start
-// parked, outside the routing set.
+// the shards that did start are torn down).
 func New(opts Options) (*Server, error) {
 	if opts.Backend == "" {
 		opts.Backend = "go"
@@ -198,12 +178,6 @@ func New(opts Options) (*Server, error) {
 	if opts.TraceSample <= 0 {
 		opts.TraceSample = DefaultTraceSample
 	}
-	if opts.Scale.MaxShards < opts.Shards {
-		opts.Scale.MaxShards = opts.Shards // autoscaling off
-	}
-	if opts.Scale.Interval <= 0 {
-		opts.Scale.Interval = DefaultScaleInterval
-	}
 	router := opts.Router
 	if router == nil {
 		router = P2C{}
@@ -211,7 +185,6 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:   opts,
 		router: router,
-		base:   opts.Shards,
 		quit:   make(chan struct{}),
 		start:  time.Now(),
 	}
@@ -224,7 +197,7 @@ func New(opts Options) (*Server, error) {
 	if s.rec == nil {
 		s.rec = trace.Default()
 	}
-	s.all = make([]*shard, opts.Scale.MaxShards)
+	s.all = make([]*shard, opts.Shards)
 	for i := range s.all {
 		s.all[i] = &shard{
 			s:       s,
@@ -236,7 +209,6 @@ func New(opts Options) (*Server, error) {
 			ring:    s.rec.SharedRing(fmt.Sprintf("serve/%s/shard%d", opts.Backend, i), -(i + 1)),
 		}
 	}
-	s.live.Store(int32(opts.Shards))
 	s.load = func(i int) int { return s.all[i].load() }
 	ready := make(chan error, len(s.all))
 	for _, sh := range s.all {
@@ -251,10 +223,6 @@ func New(opts Options) (*Server, error) {
 	if firstErr != nil {
 		s.Close() // tear down the shards that did start
 		return nil, fmt.Errorf("serve: start %q: %w", opts.Backend, firstErr)
-	}
-	if opts.Scale.MaxShards > opts.Shards {
-		s.scaleRing = s.rec.SharedRing(fmt.Sprintf("serve/%s/scale", opts.Backend), scaleLaneExec)
-		go s.watchScale()
 	}
 	if opts.OnAnomaly != nil {
 		go s.watchAnomalies()
@@ -274,21 +242,15 @@ func MustNew(opts Options) *Server {
 // Backend reports the serving backend's name.
 func (s *Server) Backend() string { return s.opts.Backend }
 
-// NumShards reports the routing set's current size: base shards plus
-// the headroom shards the autoscaler has added. It changes over time
-// when autoscaling is armed.
-func (s *Server) NumShards() int { return len(s.shards()) }
+// NumShards reports the shard count, Options.Shards after defaulting.
+func (s *Server) NumShards() int { return len(s.all) }
 
 // Router reports the router spreading unkeyed submissions.
 func (s *Server) Router() Router { return s.router }
 
 // ShardOf reports the shard index keyed submissions with this affinity
-// key pin to — stable for the server's whole lifetime. Keys hash over
-// the base shard count only, so autoscaling never remaps them.
-func (s *Server) ShardOf(key string) int { return keyShard(key, s.base) }
-
-// shards returns the current routing set, one atomic load.
-func (s *Server) shards() []*shard { return s.all[:s.live.Load()] }
+// key pin to — stable for the server's whole lifetime.
+func (s *Server) ShardOf(key string) int { return keyShard(key, len(s.all)) }
 
 // Submitter returns the server's injection front-end. It is safe for any
 // number of goroutines and can be handed to producers that should not be
@@ -297,21 +259,17 @@ func (s *Server) Submitter() *Submitter { return &Submitter{s: s} }
 
 // Snapshot reads the server's counters and latency histograms once and
 // returns both views: the cross-shard aggregate (Metrics.Shard == -1)
-// and the per-shard breakdown (entry i is shard i, including headroom
-// shards outside the routing set — their counters stay visible and
-// monotonic) — the form a metrics scrape that wants aggregate and
-// breakdown together should use.
+// and the per-shard breakdown (entry i is shard i) — the form a metrics
+// scrape that wants aggregate and breakdown together should use.
 func (s *Server) Snapshot() (Metrics, []Metrics) {
 	up := time.Since(s.start)
 	shards := s.NumShards()
 	agg := Metrics{
-		Backend:    s.opts.Backend,
-		Shard:      -1,
-		Shards:     shards,
-		Router:     s.router.Name(),
-		Uptime:     up,
-		ScaleUps:   s.scaleUps.Load(),
-		ScaleDowns: s.scaleDowns.Load(),
+		Backend: s.opts.Backend,
+		Shard:   -1,
+		Shards:  shards,
+		Router:  s.router.Name(),
+		Uptime:  up,
 	}
 	per := make([]Metrics, len(s.all))
 	for i, sh := range s.all {

@@ -396,3 +396,32 @@ func TestKeyedBlockingParksOnPinnedShard(t *testing.T) {
 		t.Fatalf("keyed traffic leaked to shard 1: %d submissions", sm[1].Submitted)
 	}
 }
+
+// TestIdleShardsStayParked: with no traffic, every shard parks its pump
+// once and then costs nothing — neither the pumps nor the executors
+// poll while the server sits idle.
+func TestIdleShardsStayParked(t *testing.T) {
+	s := MustNew(Options{Backend: "go", Threads: 1, Shards: 4})
+	defer s.Close()
+	// Each fresh pump parks at once; wait for that, and for the
+	// executors' first spin to end, before the idle window starts.
+	deadline := time.Now().Add(10 * time.Second)
+	for i := range s.all {
+		for s.ShardMetrics()[i].PumpParks == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("shard %d never parked its pump", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	before := s.ShardMetrics()
+	time.Sleep(200 * time.Millisecond)
+	after := s.ShardMetrics()
+	for i := range after {
+		if before[i].PumpParks != after[i].PumpParks || before[i].Sched.EmptyPops != after[i].Sched.EmptyPops {
+			t.Fatalf("idle shard %d moved: PumpParks %d -> %d, EmptyPops %d -> %d", i,
+				before[i].PumpParks, after[i].PumpParks, before[i].Sched.EmptyPops, after[i].Sched.EmptyPops)
+		}
+	}
+}

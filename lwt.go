@@ -69,9 +69,9 @@
 // session's requests to one shard by key hash, admission control is
 // two-level (a full shard re-routes once before ErrSaturated
 // surfaces), and Close drains gracefully — every accepted Future
-// resolves. The pool is adaptive: idle shards steal unkeyed backlog
-// from loaded ones (ServeOptions.Steal — keyed work never moves), and
-// the routing set grows and shrinks under ServeOptions.Scale.
+// resolves. The shard set is fixed at NewServer; within it, idle shards
+// steal unkeyed backlog from loaded ones (ServeOptions.Steal — keyed
+// work never moves).
 // cmd/lwtserved serves HTTP compute traffic through it on every
 // backend.
 //
@@ -222,12 +222,8 @@ type Server = serve.Server
 
 // ServeOptions configures a Server (backend, executors per shard,
 // scheduler policy, shard count, router, queue depth, in-flight cap,
-// drain timeout, tracer, work stealing, autoscaling).
+// drain timeout, tracer, work stealing).
 type ServeOptions = serve.Options
-
-// AutoScale configures the shard autoscaler (ServeOptions.Scale); the
-// zero value leaves it off.
-type AutoScale = serve.AutoScale
 
 // Router picks the shard for each unkeyed submission; see RouterByName
 // for the built-in policies.
