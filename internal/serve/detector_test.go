@@ -97,37 +97,41 @@ func TestAnomalySpikeBelowFloorIgnored(t *testing.T) {
 // TestAnomalyBaselineAbsorbsDrift: latency that grows gradually is a
 // regime change, not a spike — the EWMA must track it.
 func TestAnomalyBaselineAbsorbsDrift(t *testing.T) {
-	var f feed
-	p99 := 5 * time.Millisecond
-	for i := 0; i < 200; i++ {
-		if v := f.busy(p99); v != hold {
-			t.Fatalf("verdict %d on gradual drift at tick %d (p99=%v)", v, i, p99)
+	t.Run("anomaly", func(t *testing.T) {
+		var f feed
+		p99 := 5 * time.Millisecond
+		for i := 0; i < 200; i++ {
+			if v := f.busy(p99); v != hold {
+				t.Fatalf("verdict %d on gradual drift at tick %d (p99=%v)", v, i, p99)
+			}
+			p99 += p99 / 50 // +2% per tick, ~50x over the run
 		}
-		p99 += p99 / 50 // +2% per tick, ~50x over the run
-	}
+	})
 }
 
 // TestAnomalySustainedSaturation: the Saturated counter growing for
 // hotRun consecutive ticks completes a hot run; an isolated burst does
 // not.
 func TestAnomalySustainedSaturation(t *testing.T) {
-	var f feed
-	f.m.Saturated = 10 // a one-tick burst, then flat
-	for i := 0; i < 6; i++ {
-		if v := f.empty(); v != hold {
-			t.Fatalf("verdict %d after a one-tick burst", v)
+	t.Run("anomaly", func(t *testing.T) {
+		var f feed
+		f.m.Saturated = 10 // a one-tick burst, then flat
+		for i := 0; i < 6; i++ {
+			if v := f.empty(); v != hold {
+				t.Fatalf("verdict %d after a one-tick burst", v)
+			}
 		}
-	}
-	for i := 1; i <= hotRun; i++ {
-		f.m.Saturated += 5
-		want := hold
-		if i == hotRun {
-			want = hot
+		for i := 1; i <= hotRun; i++ {
+			f.m.Saturated += 5
+			want := hold
+			if i == hotRun {
+				want = hot
+			}
+			if v := f.empty(); v != want {
+				t.Fatalf("growing tick %d: verdict %d, want %d", i, v, want)
+			}
 		}
-		if v := f.empty(); v != want {
-			t.Fatalf("growing tick %d: verdict %d, want %d", i, v, want)
-		}
-	}
+	})
 }
 
 // TestAnomalyWatchdogFires wires a real server with an aggressive
