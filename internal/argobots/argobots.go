@@ -641,9 +641,6 @@ func (c *Context) TaskCreateTo(fn func(), es int) *Task {
 	return c.rt.TaskCreateTo(fn, es)
 }
 
-// SelfID returns the running ULT's unit ID.
-func (c *Context) SelfID() uint64 { return c.self.ID() }
-
 // XStreamID reports the rank of the execution stream currently running
 // the ULT (ABT_xstream_self_rank). With private pools a ULT created with
 // ThreadCreateTo(es) is only ever dispatched by ES es, so the value is

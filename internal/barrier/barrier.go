@@ -107,61 +107,3 @@ func (b *Spin) Wait() {
 
 // Parties implements Barrier.
 func (b *Spin) Parties() int { return int(b.parties) }
-
-// Counter is a completion counter: a join mechanism where one waiter
-// blocks until n completions are signalled. It models the sequential
-// "check each work unit" joins of Argobots and Qthreads when used with
-// TryWait polling, and provides a blocking Wait for passive callers.
-type Counter struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	target int
-	done   int
-}
-
-// NewCounter returns a counter expecting n completions.
-func NewCounter(n int) *Counter {
-	c := &Counter{target: n}
-	c.cond = sync.NewCond(&c.mu)
-	return c
-}
-
-// Done signals one completion.
-func (c *Counter) Done() {
-	c.mu.Lock()
-	c.done++
-	fire := c.done >= c.target
-	c.mu.Unlock()
-	if fire {
-		c.cond.Broadcast()
-	}
-}
-
-// Wait blocks until all completions have been signalled.
-func (c *Counter) Wait() {
-	c.mu.Lock()
-	for c.done < c.target {
-		c.cond.Wait()
-	}
-	c.mu.Unlock()
-}
-
-// TryWait reports whether all completions have been signalled, without
-// blocking — the polling join used from inside cooperative ULTs.
-func (c *Counter) TryWait() bool {
-	c.mu.Lock()
-	ok := c.done < c.target
-	c.mu.Unlock()
-	return !ok
-}
-
-// Remaining reports how many completions are still outstanding.
-func (c *Counter) Remaining() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r := c.target - c.done
-	if r < 0 {
-		r = 0
-	}
-	return r
-}

@@ -103,67 +103,3 @@ func TestBarrierBlocksUntilLastArrival(t *testing.T) {
 		t.Fatal("barrier never released")
 	}
 }
-
-func TestCounterWait(t *testing.T) {
-	c := NewCounter(3)
-	if c.TryWait() {
-		t.Fatal("TryWait true with no completions")
-	}
-	if got := c.Remaining(); got != 3 {
-		t.Fatalf("Remaining = %d, want 3", got)
-	}
-	done := make(chan struct{})
-	go func() {
-		c.Wait()
-		close(done)
-	}()
-	c.Done()
-	c.Done()
-	select {
-	case <-done:
-		t.Fatal("Wait released after 2 of 3 completions")
-	case <-time.After(20 * time.Millisecond):
-	}
-	c.Done()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Wait never released")
-	}
-	if !c.TryWait() {
-		t.Fatal("TryWait false after all completions")
-	}
-	if got := c.Remaining(); got != 0 {
-		t.Fatalf("Remaining = %d, want 0", got)
-	}
-}
-
-func TestCounterOvershootClampsRemaining(t *testing.T) {
-	c := NewCounter(1)
-	c.Done()
-	c.Done()
-	if got := c.Remaining(); got != 0 {
-		t.Fatalf("Remaining = %d, want 0 after overshoot", got)
-	}
-}
-
-func TestCounterManyWaiters(t *testing.T) {
-	c := NewCounter(1)
-	const waiters = 16
-	var wg sync.WaitGroup
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.Wait()
-		}()
-	}
-	c.Done()
-	doneCh := make(chan struct{})
-	go func() { wg.Wait(); close(doneCh) }()
-	select {
-	case <-doneCh:
-	case <-time.After(2 * time.Second):
-		t.Fatal("not all waiters released")
-	}
-}

@@ -44,10 +44,6 @@ type Runtime struct {
 	// and Yield — the synchronization share §IX-B/§IX-D quantify.
 	syncNanos atomic.Int64
 
-	// handlers is the CCS handler table (see ccs.go).
-	handlersMu sync.Mutex
-	handlers   map[string]Handler
-
 	// masterRing is the flight-recorder lane of the master's barrier and
 	// yield operations — the sync share §IX-D quantifies. Only the
 	// master goroutine writes it.

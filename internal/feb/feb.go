@@ -258,26 +258,3 @@ func (t *Table) TryLock(a Addr) bool {
 
 // Unlock releases a FEB-based mutex acquired with Lock.
 func (t *Table) Unlock(a Addr) { t.Fill(a) }
-
-// Mutex wraps a FEB word as a ready-to-use lock (allocated full, i.e.,
-// unlocked).
-type Mutex struct {
-	t *Table
-	a Addr
-}
-
-// NewMutex allocates an unlocked FEB mutex in t.
-func NewMutex(t *Table) *Mutex {
-	m := &Mutex{t: t, a: t.Alloc()}
-	t.Fill(m.a)
-	return m
-}
-
-// Lock acquires the mutex.
-func (m *Mutex) Lock() { m.t.Lock(m.a) }
-
-// TryLock attempts the acquisition without blocking.
-func (m *Mutex) TryLock() bool { return m.t.TryLock(m.a) }
-
-// Unlock releases the mutex.
-func (m *Mutex) Unlock() { m.t.Unlock(m.a) }

@@ -158,7 +158,8 @@ func TestFEBHandoffSequence(t *testing.T) {
 
 func TestFEBMutexMutualExclusion(t *testing.T) {
 	tb := NewTable()
-	m := NewMutex(tb)
+	m := tb.Alloc()
+	tb.Fill(m) // a full word is an unlocked mutex
 	const workers, iters = 8, 500
 	counter := 0
 	var wg sync.WaitGroup
@@ -167,9 +168,9 @@ func TestFEBMutexMutualExclusion(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < iters; j++ {
-				m.Lock()
+				tb.Lock(m)
 				counter++
-				m.Unlock()
+				tb.Unlock(m)
 			}
 		}()
 	}

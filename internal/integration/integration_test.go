@@ -5,19 +5,16 @@
 package integration
 
 import (
-	"math"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/argobots"
-	"repro/internal/blas"
 	"repro/internal/converse"
 	"repro/internal/core"
 	"repro/internal/massivethreads"
 	"repro/internal/microbench"
 	"repro/internal/omplwt"
 	"repro/internal/openmp"
-	"repro/internal/qthreads"
 	"repro/internal/trace"
 )
 
@@ -110,33 +107,6 @@ func TestTaskletVsULTCostOrdering(t *testing.T) {
 	}
 	if sum.Units[trace.KindDispatch] < n {
 		t.Fatalf("ULT dispatches = %d, want >= %d", sum.Units[trace.KindDispatch], n)
-	}
-}
-
-// TestQthreadsLoopMatchesBLAS drives the Qthreads utility layer over the
-// BLAS kernel and cross-checks against the sequential result.
-func TestQthreadsLoopMatchesBLAS(t *testing.T) {
-	rt := qthreads.MustInit(qthreads.PerCPU(4))
-	defer rt.Finalize()
-	const n = 10_000
-	v := make([]float32, n)
-	blas.Iota(v)
-	want := make([]float32, n)
-	copy(want, v)
-	blas.Sscal(want, 2)
-
-	rt.Loop(0, n, func(i int) { blas.SscalElem(v, 2, i) })
-	for i := range v {
-		if v[i] != want[i] {
-			t.Fatalf("element %d = %v, want %v", i, v[i], want[i])
-		}
-	}
-	// And the reduction path agrees with Sasum.
-	got := rt.LoopAccum(0, n, 0,
-		func(a, b float64) float64 { return a + b },
-		func(i int) float64 { return float64(v[i]) })
-	if math.Abs(got-float64(blas.Sasum(v))) > 1e-2*got {
-		t.Fatalf("LoopAccum = %v, Sasum = %v", got, blas.Sasum(v))
 	}
 }
 

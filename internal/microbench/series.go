@@ -161,15 +161,6 @@ func Sweep(spec Spec, p Pattern, threads []int, prm Params) Series {
 	return se
 }
 
-// SweepAll runs every paper system over the axis for one pattern.
-func SweepAll(p Pattern, threads []int, prm Params) []Series {
-	var out []Series
-	for _, spec := range PaperSystems() {
-		out = append(out, Sweep(spec, p, threads, prm))
-	}
-	return out
-}
-
 // RenderTable formats a set of series as the textual equivalent of a
 // figure: rows are thread counts, columns are systems, cells are mean
 // times.

@@ -106,6 +106,7 @@ type Runtime struct {
 	tasksInlined   atomic.Uint64 // cutoff-triggered inline executions
 	tasksQueued    atomic.Uint64
 	steals         atomic.Uint64
+	parks          atomic.Uint64 // passive region-end barrier parks
 	closed         atomic.Bool
 }
 
@@ -140,6 +141,10 @@ func (rt *Runtime) TasksQueued() uint64 { return rt.tasksQueued.Load() }
 
 // Steals reports successful task steals (icc only).
 func (rt *Runtime) Steals() uint64 { return rt.steals.Load() }
+
+// Parks reports how often a member parked in the passive region-end
+// barrier with no task outstanding.
+func (rt *Runtime) Parks() uint64 { return rt.parks.Load() }
 
 // Close releases pooled threads (icc). Regions must not be in flight.
 func (rt *Runtime) Close() {
@@ -177,13 +182,14 @@ type team struct {
 	deques      []*queue.MutexDeque
 	outstanding atomic.Int64 // queued-but-unfinished tasks
 	arrived     atomic.Int64 // members that reached the region end
+	// idle is the wake domain of members parked in the passive
+	// region-end barrier: a task push and the last arrival wake it.
+	idle ult.Idler
 
 	bar       *barrier.Central // gcc join
 	spin      *barrier.Spin    // gcc join under active policy
 	doneFlags []atomic.Bool    // icc join: master checks each word
 	execs     []*ult.Executor  // per-member executors (tasklet running)
-
-	teamExtras // state for the constructs in constructs.go
 }
 
 // TeamCtx is the per-thread view of a parallel region, passed to region
@@ -313,6 +319,9 @@ func (rt *Runtime) spawnMember(tm *team, tid int, body func(*TeamCtx), wg *sync.
 		}
 		for job := range w.jobs {
 			job()
+			if !reuse {
+				return // a gcc nested-team thread dies with its team
+			}
 			select {
 			case rt.pool <- w:
 			default:
@@ -335,7 +344,9 @@ func (tm *team) member(tid int, body func(*TeamCtx)) {
 	// whose queue view is momentarily empty would leave the region while
 	// the single-region creator (§VII-B1) is still producing tasks, and
 	// icc's thieves would never get anything to steal.
-	tm.arrived.Add(1)
+	if tm.arrived.Add(1) == int64(tm.size) {
+		tm.idle.Wake()
+	}
 	tm.drainRegionEnd(tid)
 	// Region-end join.
 	if tm.rt.cfg.Flavor == GCC {
@@ -376,6 +387,7 @@ func (tc *TeamCtx) Task(fn func()) {
 	} else {
 		tm.deques[tc.tid].PushBottom(tk)
 	}
+	tm.idle.Wake()
 }
 
 // Single runs fn on exactly one thread (#pragma omp single): thread 0
@@ -419,7 +431,8 @@ func (tm *team) nextTask(tid int) *ult.Tasklet {
 // drainRegionEnd executes tasks until every member has arrived at the
 // region end and no tasks remain — the task-executing implicit barrier.
 func (tm *team) drainRegionEnd(tid int) {
-	idle := 0
+	var idle uint32
+	var epoch uint64
 	for {
 		tk := tm.nextTask(tid)
 		if tk == nil {
@@ -429,13 +442,22 @@ func (tm *team) drainRegionEnd(tid int) {
 			if tm.rt.cfg.WaitPolicy == Passive {
 				// While tasks are outstanding, poll hot so thieves keep
 				// their steal window. With none outstanding this is a
-				// pure barrier wait on slower siblings' bodies; back off
-				// to a short sleep so early finishers of an imbalanced
-				// region do not burn a core each (Active keeps the
-				// faithful busy-wait).
+				// pure barrier wait on slower siblings' bodies: after the
+				// executors' spin budget the member captures the idle
+				// epoch, polls once more, and parks until a task push or
+				// the last arrival moves it — the task-creation wake both
+				// real runtimes give threads asleep in the barrier. So
+				// early finishers of an imbalanced region do not burn a
+				// core each (Active keeps the faithful busy-wait).
 				if tm.outstanding.Load() == 0 {
-					if idle++; idle > 64 {
-						time.Sleep(20 * time.Microsecond)
+					switch idle++; {
+					case idle == ult.SpinBudget():
+						epoch = tm.idle.Epoch()
+						continue
+					case idle > ult.SpinBudget():
+						tm.rt.parks.Add(1)
+						tm.idle.Park(epoch)
+						idle = 0
 						continue
 					}
 				}

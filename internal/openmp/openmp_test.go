@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func flavors() []Config {
@@ -235,31 +236,43 @@ func TestICCStealsFromSingleCreator(t *testing.T) {
 	defer rt.Close()
 	const n = 400
 	var ran atomic.Int64
-	var ready atomic.Int32
+	var stolenWhileHeld bool
 	rt.Parallel(func(tc *TeamCtx) {
 		if tc.TID() != 0 {
 			// Workers fall through to the region-end task barrier, where
-			// they poll the deques for work to steal.
-			ready.Add(1)
+			// they poll the deques for work to steal and then park.
 			return
 		}
 		tc.Single(func() {
-			// Force the racy window deterministically: hold production
-			// until every thief is live inside the region, so the single
-			// creator fills its deque while the others are polling. A
-			// 400-task region is otherwise short enough that the master
-			// can drain its own deque before the worker goroutines are
-			// ever scheduled.
-			for ready.Load() != 3 {
+			// Hold production until every thief has spent its spin
+			// budget and parked in the region-end barrier: nothing but
+			// the push wake can release them before the creator
+			// arrives.
+			for rt.Parks() < 3 {
 				runtime.Gosched()
 			}
-			for i := 0; i < n; i++ {
+			// Then hold it until a thief is actually polling: the
+			// creator pushes one task and does not pop it, so only a
+			// steal can take it. A thief's first poll after its wake may
+			// be milliseconds away when the OS thread that would run it
+			// is descheduled (two shared CPUs under -race), and a
+			// 400-task region otherwise finishes inside that window.
+			// The deadline turns a runtime that never steals, or never
+			// wakes a parked thief on a push, into a failure below
+			// rather than a hang.
+			body := func() { runtime.Gosched(); ran.Add(1) }
+			tc.Task(body)
+			for deadline := time.Now().Add(10 * time.Second); rt.Steals() == 0 && time.Now().Before(deadline); {
+				runtime.Gosched()
+			}
+			stolenWhileHeld = rt.Steals() > 0
+			for i := 1; i < n; i++ {
 				// The body yields so that on a single-P machine
 				// (GOMAXPROCS=1) the polling thieves are guaranteed a
 				// scheduling slot while the creator's deque is non-empty;
 				// without it the master would pop its whole deque in one
 				// unpreempted burst and the thieves could never win.
-				tc.Task(func() { runtime.Gosched(); ran.Add(1) })
+				tc.Task(body)
 			}
 		})
 	})
@@ -269,6 +282,9 @@ func TestICCStealsFromSingleCreator(t *testing.T) {
 	// All tasks land in thread 0's deque; others can only steal.
 	if rt.Steals() == 0 {
 		t.Fatal("no steals in icc single-region pattern")
+	}
+	if !stolenWhileHeld {
+		t.Fatal("no thief took the held task: a push did not wake the parked thieves")
 	}
 }
 

@@ -234,11 +234,7 @@ func Lint(r io.Reader) error {
 				}
 			}
 		}
-		sampled[base] = true
-		if t, ok := typed[base]; !ok && base == name {
-			// Untyped samples are legal in the format; allow them.
-			_ = t
-		}
+		sampled[base] = true // untyped samples are legal in the format
 	}
 	if err := sc.Err(); err != nil {
 		return err

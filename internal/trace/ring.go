@@ -99,15 +99,6 @@ func (r *Ring) Interval(k Kind, unit uint64, start int64) {
 	r.emit(k, unit, start, now-start, 0)
 }
 
-// IntervalLabeled is Interval with an interned label code (LabelCode).
-func (r *Ring) IntervalLabeled(k Kind, unit uint64, start int64, label uint16) {
-	if r == nil {
-		return
-	}
-	now := r.rec.Now()
-	r.emit(k, unit, start, now-start, label)
-}
-
 // EmitAt records an event from wall-clock values the caller already
 // holds (a time.Time taken at interval start, a measured duration)
 // without reading the clock again — the zero-extra-cost path for sites
