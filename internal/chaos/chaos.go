@@ -1,5 +1,5 @@
-// Package chaos is the fault-injection layer behind the chaos smoke
-// harness (cmd/chaossmoke): a reverse proxy that sits between the gate
+// Package chaos is the fault-injection layer behind the chaos and
+// cluster drills (cmd/drill): a reverse proxy that sits between the gate
 // and one worker and injects the failure modes the robustness tier
 // must contain — added latency, connection resets, 503 bursts, and
 // blackholes (accepted connections that never answer) — plus a

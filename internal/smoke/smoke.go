@@ -1,39 +1,45 @@
-// Package smoke is the process harness the end-to-end drills share
-// (cmd/clustersmoke, cmd/chaossmoke): it starts daemons with their output
-// archived to a log directory, reads the address each one announces,
-// signals them, and tallies failed checks so that one run reports as
-// many failures as it can.
+// Package smoke is the harness behind cmd/drill, the end-to-end drills
+// of the serving stack: it boots lwtserved workers and lwtgate gates on
+// ephemeral ports with their output archived to a log directory, waits
+// for readiness, classifies each request as lost, ok or an explicit
+// error, reads Prometheus samples and a process's CPU time, checks that
+// every process drains cleanly on SIGTERM, and tallies failed checks so
+// that one run reports as many failures as it can.
 package smoke
 
 import (
 	"bufio"
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"repro/internal/prom"
 )
 
 // listenRe matches the line a daemon prints once bound, with the
 // address it actually got (the drills pass :0 for an ephemeral port).
 var listenRe = regexp.MustCompile(`listening on (\S+)`)
 
-// Drill is one smoke run: the directory its children log into, the
-// children it started, and the checks that failed. Start and Fatalf
-// belong to the drill's main goroutine; Failf may be called from any.
+// Drill is one smoke run: the directory its children log into and the
+// checks that failed. Failf may be called from any goroutine.
 type Drill struct {
 	// LogDir receives one <name>.log per started process.
 	LogDir string
 
-	procs    []*Proc
 	failures atomic.Int32
 }
 
@@ -41,28 +47,35 @@ type Drill struct {
 type Proc struct {
 	Name string
 	Cmd  *exec.Cmd
-	addr chan string // the announced listen address, sent once
-
-	mu       sync.Mutex
-	exited   bool
-	exitCode int
-	waitDone chan struct{}
+	// Addr is the address the process announced.
+	Addr     string
+	waitDone chan struct{} // closed once the process is reaped
 }
 
-// Start launches bin, tees its output to LogDir/<name>.log, and watches
-// for the "listening on <addr>" line.
+// Start launches bin, tees its output to LogDir/<name>.log, and waits
+// up to 30 s for its "listening on <addr>" line. The child runs in its
+// own process group and is SIGKILLed when the drill dies (Pdeathsig),
+// so a drill killed by a timeout, an interrupt, a panic or Fatalf
+// leaves no daemon behind.
 func (d *Drill) Start(name, bin string, args ...string) (*Proc, error) {
 	logFile, err := os.Create(filepath.Join(d.LogDir, name+".log"))
 	if err != nil {
 		return nil, err
 	}
-	p := &Proc{Name: name, Cmd: exec.Command(bin, args...), addr: make(chan string, 1), waitDone: make(chan struct{})}
-	pr, pw := io.Pipe()
-	p.Cmd.Stdout = pw
-	p.Cmd.Stderr = pw
+	p := &Proc{Name: name, Cmd: exec.Command(bin, args...), waitDone: make(chan struct{})}
+	p.Cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true, Pdeathsig: syscall.SIGKILL}
+	out, err := p.Cmd.StdoutPipe()
+	if err == nil {
+		p.Cmd.Stderr = p.Cmd.Stdout
+		err = p.Cmd.Start()
+	}
+	if err != nil {
+		logFile.Close()
+		return nil, fmt.Errorf("start %s: %w", name, err)
+	}
+	addr := make(chan string, 1) // one send: the first address seen
 	go func() {
-		defer logFile.Close()
-		sc := bufio.NewScanner(pr)
+		sc := bufio.NewScanner(out)
 		sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 		announced := false
 		for sc.Scan() {
@@ -71,45 +84,79 @@ func (d *Drill) Start(name, bin string, args ...string) (*Proc, error) {
 			if !announced {
 				if m := listenRe.FindStringSubmatch(line); m != nil {
 					announced = true
-					p.addr <- m[1]
+					addr <- m[1]
 				}
 			}
 		}
-	}()
-	if err := p.Cmd.Start(); err != nil {
-		pw.Close()
-		return nil, fmt.Errorf("start %s: %w", name, err)
-	}
-	go func() {
-		err := p.Cmd.Wait()
-		pw.Close()
-		p.mu.Lock()
-		p.exited = true
-		p.exitCode = 0
-		if err != nil {
-			p.exitCode = -1
-			var ee *exec.ExitError
-			if errors.As(err, &ee) {
-				p.exitCode = ee.ExitCode()
-			}
-		}
-		p.mu.Unlock()
+		_, _ = io.Copy(logFile, out) // a line past the scanner's limit: keep the pipe drained
+		logFile.Close()
+		// The pipe is at EOF, so the process has exited or is about to:
+		// reap it here, the one place that does.
+		_ = p.Cmd.Wait() // the exit status is read from Cmd.ProcessState
 		close(p.waitDone)
 	}()
-	d.procs = append(d.procs, p)
-	return p, nil
+	select {
+	case p.Addr = <-addr:
+		return p, nil
+	case <-p.waitDone:
+		return nil, fmt.Errorf("%s exited before announcing its address (see %s.log)", name, name)
+	case <-time.After(30 * time.Second):
+		p.Kill()
+		return nil, fmt.Errorf("%s did not announce its address within 30s", name)
+	}
 }
 
-// WaitAddr blocks for the announced listen address.
-func (p *Proc) WaitAddr(timeout time.Duration) (string, error) {
-	select {
-	case a := <-p.addr:
-		return a, nil
-	case <-p.waitDone:
-		return "", fmt.Errorf("%s exited before announcing its address (see %s.log)", p.Name, p.Name)
-	case <-time.After(timeout):
-		return "", fmt.Errorf("%s did not announce its address within %v", p.Name, timeout)
+// Boot is Start that ends the drill on failure.
+func (d *Drill) Boot(name, bin string, args ...string) *Proc {
+	p, err := d.Start(name, bin, args...)
+	if err != nil {
+		d.Fatalf("%v", err)
 	}
+	log.Printf("%s listening on %s", name, p.Addr)
+	return p
+}
+
+// BootWorkers boots n lwtserved processes, worker-0 .. worker-<n-1>, on
+// ephemeral ports with the cluster drills' shard and queue settings.
+func (d *Drill) BootWorkers(bin string, n int) []*Proc {
+	procs := make([]*Proc, n)
+	for i := range procs {
+		procs[i] = d.Boot(fmt.Sprintf("worker-%d", i), bin,
+			"-addr", "127.0.0.1:0", "-shards", "2", "-threads", "1",
+			"-queue", "256", "-drain", "20s")
+	}
+	return procs
+}
+
+// BootGate boots an lwtgate over the given worker addresses on an
+// ephemeral port, with the health-check and drain settings every drill
+// shares plus the scenario's own args, and waits until it is ready.
+func (d *Drill) BootGate(c *http.Client, bin string, workers []string, args ...string) *Proc {
+	args = append([]string{"-addr", "127.0.0.1:0", "-workers", strings.Join(workers, ","),
+		"-check-interval", "200ms", "-check-timeout", "1s", "-ready-after", "2",
+		"-retries", "2", "-drain", "20s"}, args...)
+	gate := d.Boot("gate", bin, args...)
+	d.WaitReady(c, "http://"+gate.Addr)
+	return gate
+}
+
+// WaitReady polls base/readyz for up to 10 s and ends the drill if it
+// never answers 200.
+func (d *Drill) WaitReady(c *http.Client, base string) {
+	if !Poll(10*time.Second, 100*time.Millisecond, func() bool { return Get(c, base+"/readyz", nil).Status == http.StatusOK }) {
+		d.Fatalf("%s never became ready", base)
+	}
+}
+
+// Poll calls cond every interval until it returns true or within has
+// passed, and reports whether it returned true.
+func Poll(within, interval time.Duration, cond func() bool) bool {
+	for deadline := time.Now().Add(within); !cond(); time.Sleep(interval) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
 }
 
 // SignalAndWait sends sig and waits for the exit, returning the exit
@@ -118,22 +165,37 @@ func (p *Proc) SignalAndWait(sig syscall.Signal, timeout time.Duration) (int, er
 	_ = p.Cmd.Process.Signal(sig)
 	select {
 	case <-p.waitDone:
+		return p.Cmd.ProcessState.ExitCode(), nil
 	case <-time.After(timeout):
 		_ = p.Cmd.Process.Kill()
 		return -1, fmt.Errorf("%s did not exit within %v of %v", p.Name, timeout, sig)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.exitCode, nil
 }
 
 // Kill stops the process if it is still running.
 func (p *Proc) Kill() {
-	p.mu.Lock()
-	exited := p.exited
-	p.mu.Unlock()
-	if !exited && p.Cmd.Process != nil {
+	select {
+	case <-p.waitDone:
+	default:
 		_ = p.Cmd.Process.Kill()
+	}
+}
+
+// Drain SIGTERMs each process and checks the drain contract: exit 0
+// within 30 s, "drained cleanly" in its log, and no "dropped future".
+func (d *Drill) Drain(procs ...*Proc) {
+	for _, p := range procs {
+		if code, err := p.SignalAndWait(syscall.SIGTERM, 30*time.Second); err != nil || code != 0 {
+			d.Failf("%s drain: exit=%d err=%v", p.Name, code, err)
+			continue
+		}
+		logText := d.Log(p.Name)
+		if !strings.Contains(logText, "drained cleanly") {
+			d.Failf("%s log missing 'drained cleanly'", p.Name)
+		}
+		if strings.Contains(strings.ToLower(logText), "dropped future") {
+			d.Failf("%s log reports a dropped future", p.Name)
+		}
 	}
 }
 
@@ -146,19 +208,165 @@ func (d *Drill) Failf(format string, args ...any) {
 // Failed returns the number of failed checks so far.
 func (d *Drill) Failed() int { return int(d.failures.Load()) }
 
-// Fatalf logs a failure the drill cannot continue past, kills every
-// process it started, and exits 1.
+// Fatalf logs a failure the drill cannot continue past and exits 1;
+// Pdeathsig takes the started processes down with it.
 func (d *Drill) Fatalf(format string, args ...any) {
-	log.Printf("FATAL: "+format, args...)
-	for _, p := range d.procs {
-		p.Kill()
-	}
-	os.Exit(1)
+	log.Fatalf("FATAL: "+format, args...)
 }
 
-// LogContains reports whether the named child's archived log contains
-// substr.
-func (d *Drill) LogContains(name, substr string) bool {
-	b, err := os.ReadFile(filepath.Join(d.LogDir, name+".log"))
-	return err == nil && strings.Contains(string(b), substr)
+// Log returns the named child's archived log ("" if unreadable).
+func (d *Drill) Log(name string) string {
+	b, _ := os.ReadFile(filepath.Join(d.LogDir, name+".log"))
+	return string(b)
+}
+
+// Reply is one request's outcome. A request that got no response
+// within the client's timeout is lost: Status is 0 and Err is set.
+type Reply struct {
+	Status  int
+	Worker  string // X-Lwt-Worker: which worker the gate proxied to
+	Header  http.Header
+	Body    []byte
+	Elapsed time.Duration
+	Err     error // transport error, or decoding a 200 body failed
+}
+
+// Get issues a GET through c and, when out is non-nil and the status
+// is 200, decodes the JSON body into out. The client's timeout is the
+// drill's lost-request detector.
+func Get(c *http.Client, url string, out any) Reply {
+	t0 := time.Now()
+	resp, err := c.Get(url)
+	if err != nil {
+		return Reply{Elapsed: time.Since(t0), Err: err}
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	r := Reply{Status: resp.StatusCode, Worker: resp.Header.Get("X-Lwt-Worker"), Header: resp.Header,
+		Body: body, Elapsed: time.Since(t0), Err: err}
+	if r.Err == nil && out != nil && r.Status == http.StatusOK {
+		if err := json.Unmarshal(body, out); err != nil {
+			r.Err = fmt.Errorf("decode %s: %w (body %q)", url, err, body)
+		}
+	}
+	return r
+}
+
+// Tally counts request outcomes from any number of goroutines.
+type Tally struct {
+	Sent, OK, Errors, Lost atomic.Int64
+	MaxElapsed             atomic.Int64 // ns, the slowest reply
+}
+
+// Add counts r as lost, ok (200) or an explicit error (any other
+// status), and tracks the slowest reply.
+func (t *Tally) Add(r Reply) {
+	t.Sent.Add(1)
+	switch {
+	case r.Status == 0:
+		t.Lost.Add(1)
+	case r.Status == http.StatusOK:
+		t.OK.Add(1)
+	default:
+		t.Errors.Add(1)
+	}
+	for {
+		old := t.MaxElapsed.Load()
+		if int64(r.Elapsed) <= old || t.MaxElapsed.CompareAndSwap(old, int64(r.Elapsed)) {
+			break
+		}
+	}
+}
+
+// String renders the counts for a log line.
+func (t *Tally) String() string {
+	return fmt.Sprintf("sent=%d ok=%d explicit-errors=%d lost=%d", t.Sent.Load(), t.OK.Load(), t.Errors.Load(), t.Lost.Load())
+}
+
+// Load runs fn(g, i) in a loop on each of n goroutines, g the
+// goroutine's index and i its call count, until ctx is done, and
+// returns once all have stopped.
+func Load(ctx context.Context, n int, fn func(g, i int)) {
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ctx.Err() == nil; i++ {
+				fn(g, i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// Sample scrapes base/metrics and returns the first sample of family
+// with label worker=worker (any labels when worker is ""), or -1 when
+// the scrape fails or no sample matches.
+func Sample(c *http.Client, base, family, worker string) float64 {
+	var labels map[string]string
+	if worker != "" {
+		labels = map[string]string{"worker": worker}
+	}
+	r := Get(c, base+"/metrics", nil)
+	if v, ok := prom.Value(string(r.Body), family, labels); ok && r.Status == http.StatusOK {
+		return v
+	}
+	return -1
+}
+
+// Sum adds up every sample of family on an exposition page, across all
+// label sets.
+func Sum(page, family string) float64 {
+	var s float64
+	for _, line := range strings.Split(page, "\n") {
+		rest, ok := strings.CutPrefix(line, family)
+		if !ok || rest == "" || (rest[0] != '{' && rest[0] != ' ') {
+			continue
+		}
+		if i := strings.LastIndexByte(rest, '}'); i >= 0 {
+			rest = rest[i+1:]
+		}
+		if f := strings.Fields(rest); len(f) > 0 {
+			if v, err := strconv.ParseFloat(f[0], 64); err == nil {
+				s += v
+			}
+		}
+	}
+	return s
+}
+
+// clockTick is the kernel's USER_HZ, the unit of utime and stime in
+// /proc/<pid>/stat. It is 100 on every Linux ABI Go supports.
+const clockTick = 100
+
+// CPUTime returns the user+system CPU time process pid has used.
+func CPUTime(pid int) (time.Duration, error) {
+	b, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", pid))
+	if err != nil {
+		return 0, err
+	}
+	return parseStatCPU(string(b))
+}
+
+// parseStatCPU extracts user+system CPU time from the contents of
+// /proc/<pid>/stat. The command name (field 2) is parenthesised and
+// may itself contain spaces and parentheses, so fields are counted
+// from the last ')'.
+func parseStatCPU(stat string) (time.Duration, error) {
+	i := strings.LastIndexByte(stat, ')')
+	if i < 0 {
+		return 0, errors.New("stat: no command field")
+	}
+	f := strings.Fields(stat[i+1:])
+	// f[0] is field 3 (state); utime and stime are fields 14 and 15.
+	if len(f) < 13 {
+		return 0, fmt.Errorf("stat: %d fields after command, want at least 13", len(f))
+	}
+	ut, err1 := strconv.ParseUint(f[11], 10, 64)
+	st, err2 := strconv.ParseUint(f[12], 10, 64)
+	if err1 != nil || err2 != nil {
+		return 0, fmt.Errorf("stat: bad utime/stime %q %q", f[11], f[12])
+	}
+	return time.Duration(ut+st) * (time.Second / clockTick), nil
 }

@@ -1,27 +1,44 @@
 package smoke
 
 import (
+	"bufio"
 	"fmt"
 	"os"
+	"os/exec"
 	"os/signal"
+	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 )
 
-// childEnv marks a re-executed test binary as the daemon stand-in.
+// childEnv marks a re-executed test binary: "1" makes it the daemon
+// stand-in, "drill" a drill that starts one daemon and waits.
 const childEnv = "SMOKE_TEST_CHILD"
 
-// TestMain turns the re-executed binary into a minimal daemon: it
-// announces an address the way lwtserved and lwtgate do, then exits 0
-// on SIGTERM.
+// TestMain turns the re-executed binary into a minimal daemon, which
+// announces an address the way lwtserved and lwtgate do and exits 0 on
+// SIGTERM, or into a drill that starts such a daemon, prints its pid
+// and blocks until killed.
 func TestMain(m *testing.M) {
-	if os.Getenv(childEnv) == "1" {
+	switch os.Getenv(childEnv) {
+	case "1":
 		term := make(chan os.Signal, 1)
 		signal.Notify(term, syscall.SIGTERM)
 		fmt.Println("listening on 127.0.0.1:4242")
 		<-term
 		os.Exit(0)
+	case "drill":
+		os.Setenv(childEnv, "1")
+		d := &Drill{LogDir: os.TempDir()}
+		p, err := d.Start("smoke-test-daemon", os.Args[0])
+		if err != nil {
+			fmt.Println("error", err)
+			os.Exit(1)
+		}
+		fmt.Println("daemon", p.Cmd.Process.Pid)
+		select {}
 	}
 	os.Exit(m.Run())
 }
@@ -37,17 +54,96 @@ func TestStartWaitAddrSignal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Kill()
-	addr, err := p.WaitAddr(10 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if addr != "127.0.0.1:4242" {
-		t.Fatalf("WaitAddr = %q, want 127.0.0.1:4242", addr)
+	if p.Addr != "127.0.0.1:4242" {
+		t.Fatalf("Addr = %q, want 127.0.0.1:4242", p.Addr)
 	}
 	if code, err := p.SignalAndWait(syscall.SIGTERM, 10*time.Second); err != nil || code != 0 {
 		t.Fatalf("after SIGTERM: exit %d, err %v; want exit 0", code, err)
 	}
-	if !drill.LogContains("child", "listening on 127.0.0.1:4242") {
+	if !strings.Contains(drill.Log("child"), "listening on 127.0.0.1:4242") {
 		t.Fatal("child log lacks its announcement")
+	}
+}
+
+// TestDaemonDiesWithDrill SIGKILLs a drill that has started a daemon:
+// within 2 s the daemon must be gone, or a zombie that nothing reaps.
+// Without Pdeathsig it would keep running, reparented.
+func TestDaemonDiesWithDrill(t *testing.T) {
+	drill := exec.Command(os.Args[0])
+	drill.Env = append(os.Environ(), childEnv+"=drill", "TMPDIR="+t.TempDir())
+	out, err := drill.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := drill.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer drill.Wait()
+	defer drill.Process.Kill()
+	line, err := bufio.NewReader(out).ReadString('\n')
+	pidText, ok := strings.CutPrefix(strings.TrimSpace(line), "daemon ")
+	pid, perr := strconv.Atoi(pidText)
+	if err != nil || !ok || perr != nil {
+		t.Fatalf("drill printed %q (err %v), want daemon <pid>", line, err)
+	}
+	if err := drill.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	state := ""
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
+		b, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", pid))
+		if err != nil {
+			return // gone
+		}
+		s := string(b)
+		if f := strings.Fields(s[strings.LastIndexByte(s, ')')+1:]); len(f) > 0 {
+			if state = f[0]; state == "Z" {
+				return
+			}
+		}
+	}
+	_ = syscall.Kill(pid, syscall.SIGKILL)
+	t.Fatalf("daemon %d outlived its SIGKILLed drill by 2 s (state %s)", pid, state)
+}
+
+// TestParseStatCPU counts utime and stime from the last ')': a command
+// name with spaces and a ')' shifts every whitespace-split field.
+func TestParseStatCPU(t *testing.T) {
+	line := "4242 (lwt served) x) S 1 4242 4242 0 -1 4194560 812 0 0 0 250 37 0 0 20 0 5 0 1234 0 0\n"
+	got, err := parseStatCPU(line)
+	if want := 287 * 10 * time.Millisecond; err != nil || got != want {
+		t.Fatalf("parseStatCPU = %v, %v; want %v", got, err, want)
+	}
+	if _, err := parseStatCPU("4242 (x) S 1 2"); err == nil {
+		t.Fatal("parseStatCPU accepted a truncated line")
+	}
+	// A real read: this process's CPU time becomes positive once it
+	// spins for a few clock ticks.
+	for deadline := time.Now().Add(2 * time.Second); ; {
+		cpu, err := CPUTime(os.Getpid())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cpu > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("CPUTime of this process stayed 0 while it spun for 2 s")
+		}
+		for t0 := time.Now(); time.Since(t0) < 20*time.Millisecond; {
+		}
+	}
+}
+
+// TestSum adds every label set of one family and no other family.
+func TestSum(t *testing.T) {
+	page := `# TYPE lwt_serve_steals_total counter
+lwt_serve_steals_total{backend="go",shard="0"} 3
+lwt_serve_steals_total{backend="a}b",shard="1"} 4
+lwt_serve_steals_total_other 100
+lwt_serve_steals 1000
+`
+	if got := Sum(page, "lwt_serve_steals_total"); got != 7 {
+		t.Fatalf("Sum = %v, want 7", got)
 	}
 }
