@@ -34,7 +34,7 @@ func chaosDrill(d *smoke.Drill) string {
 	// Health probes bypass the proxy's faults, and fail-after is out of
 	// reach, so every bit of containment below is the breaker's, not
 	// ejection's.
-	workers := d.BootWorkers(*workerBin, 3)
+	workers := bootWorkers(d, 3)
 	proxy, err := chaos.NewProxy(workers[0].Addr, chaos.Options{Spare: []string{"/healthz"}})
 	if err != nil {
 		d.Fatalf("chaos proxy: %v", err)
@@ -43,7 +43,7 @@ func chaosDrill(d *smoke.Drill) string {
 	faultedID := proxy.Addr() // the gate knows worker 0 by the proxy's address
 	log.Printf("chaos proxy %s -> worker-0 %s", faultedID, workers[0].Addr)
 
-	gate := d.BootGate(chaosClient, *gateBin, []string{faultedID, workers[1].Addr, workers[2].Addr},
+	gate := bootGate(d, chaosClient, []string{faultedID, workers[1].Addr, workers[2].Addr},
 		"-fail-after", "1000000", "-attempt-timeout", "250ms",
 		"-breaker-window", "8", "-breaker-ratio", "0.5", "-breaker-cooldown", "500ms")
 	gateURL := "http://" + gate.Addr
@@ -198,7 +198,7 @@ func chaosDrill(d *smoke.Drill) string {
 	}
 
 	// ---- Clean drains: chaos over, nothing may be lost at shutdown.
-	d.Drain(append([]*smoke.Proc{gate}, workers...)...)
+	d.Drain(drainWithin, append([]*smoke.Proc{gate}, workers...)...)
 	return fmt.Sprintf("%d requests, 4 proxy faults + 1 SIGSTOP, 0 lost, max latency %v under a %v budget, breaker cycled, clean drains",
 		load.Sent.Load(), maxEl, chaosDeadline)
 }

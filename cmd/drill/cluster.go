@@ -35,22 +35,23 @@ type workerRow struct {
 // re-admits, and that keys stay put or reshuffle only as far as the
 // ring bounds them.
 func clusterDrill(d *smoke.Drill) string {
-	workers := d.BootWorkers(*workerBin, clusterWorkers)
+	workers := bootWorkers(d, clusterWorkers)
 	var workerAddrs []string
 	for _, w := range workers {
 		workerAddrs = append(workerAddrs, w.Addr)
 	}
-	gate := d.BootGate(clusterClient, *gateBin, workerAddrs, "-fail-after", "2", "-attempt-timeout", "2s")
+	gate := bootGate(d, clusterClient, workerAddrs, "-fail-after", "2", "-attempt-timeout", "2s")
 	gateURL := "http://" + gate.Addr
 	get := func(path string, out any) smoke.Reply { return smoke.Get(clusterClient, gateURL+path, out) }
 
 	// ---- Keyed + unkeyed fib/dgemm/parfor on every backend, proxied
-	// through the gate.
+	// through the gate; a keyed reply names the worker that served it.
 	backends := checkBackends(d, get, []backendCheck{
-		{"/fib?n=22&wait=1&backend=%s", "==", 17711, false},
-		{"/dgemm?n=48&wait=1&backend=%s", ">", 0, false},
-		{"/parfor?n=65536&backend=%s", ">", 0, false},
-		{"/fib?n=20&wait=1&backend=%[1]s&key=smoke-%[1]s", "==", 6765, true},
+		{"/fib?n=22&wait=1&backend=%s", "value 17711", func(v float64, _ string) bool { return v == 17711 }},
+		{"/dgemm?n=48&wait=1&backend=%s", "value > 0", func(v float64, _ string) bool { return v > 0 }},
+		{"/parfor?n=65536&backend=%s", "value > 0", func(v float64, _ string) bool { return v > 0 }},
+		{"/fib?n=20&wait=1&backend=%[1]s&key=smoke-%[1]s", "value 6765 from a named worker",
+			func(v float64, worker string) bool { return v == 6765 && worker != "" }},
 	})
 
 	// ---- Map keyed sessions to workers and pin the map.
@@ -218,7 +219,7 @@ func clusterDrill(d *smoke.Drill) string {
 	checkStable(d, "after kill", newOwner, route())
 
 	// ---- Graceful drain — gate first, then surviving workers.
-	d.Drain(gate, workers[0], workers[2])
+	d.Drain(drainWithin, gate, workers[0], workers[2])
 	return fmt.Sprintf("%d workers, %d requests under load, 1 freeze + 1 kill, 0 lost, %d/%d keys reshuffled, clean drains",
 		clusterWorkers, load.Sent.Load(), moved, clusterKeys)
 }

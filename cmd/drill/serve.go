@@ -43,10 +43,11 @@ type backendRow struct {
 // functional requests use wait=1 (blocking admission), which a tight
 // queue never 503s.
 func serveDrill(d *smoke.Drill) string {
-	srv := d.Boot("lwtserved", *workerBin, "-addr", "127.0.0.1:0",
-		"-shards", "4", "-threads", "1", "-queue", "2", "-inflight", "1", "-steal")
+	t0 := time.Now()
+	srv := d.Boot("lwtserved", serveBootWithin, *workerBin, "-addr", "127.0.0.1:0",
+		"-shards", "4", "-threads", "1", "-queue", "2", "-inflight", "1", "-steal", "-trace-dir", d.LogDir)
 	base := "http://" + srv.Addr
-	d.WaitReady(serveClient, base)
+	d.WaitReady(serveClient, base, serveBootWithin-time.Since(t0))
 	get := func(path string, out any) smoke.Reply { return smoke.Get(serveClient, base+path, out) }
 	metrics := func() string { return string(get("/metrics", nil).Body) }
 	// burst makes n GETs of path, width at a time, and counts the
@@ -75,12 +76,12 @@ func serveDrill(d *smoke.Drill) string {
 	// ---- Every backend answers fib, dgemm, parfor, a keyed fib, a
 	// parked io wait and compute interleaved with parked waits.
 	backends := checkBackends(d, get, []backendCheck{
-		{"/fib?n=22&wait=1&backend=%s", "==", 17711, false},
-		{"/dgemm?n=64&wait=1&backend=%s", ">", 0, false},
-		{"/parfor?n=65536&backend=%s", ">", 0, false},
-		{"/fib?n=20&wait=1&backend=%[1]s&key=smoke-%[1]s", "==", 6765, false},
-		{"/io?ms=10&wait=1&backend=%s", ">=", 10, false},
-		{"/fibio?n=18&fan=2&ms=5&wait=1&backend=%s", "==", 2584, false},
+		{"/fib?n=22&wait=1&backend=%s", "value 17711", func(v float64, _ string) bool { return v == 17711 }},
+		{"/dgemm?n=64&wait=1&backend=%s", "value > 0", func(v float64, _ string) bool { return v > 0 }},
+		{"/parfor?n=65536&backend=%s", "value > 0", func(v float64, _ string) bool { return v > 0 }},
+		{"/fib?n=20&wait=1&backend=%[1]s&key=smoke-%[1]s", "value 6765", func(v float64, _ string) bool { return v == 6765 }},
+		{"/io?ms=10&wait=1&backend=%s", "value >= 10", func(v float64, _ string) bool { return v >= 10 }},
+		{"/fibio?n=18&fan=2&ms=5&wait=1&backend=%s", "value 2584", func(v float64, _ string) bool { return v == 2584 }},
 	})
 
 	// ---- Idle: every shard of every backend has served by now. Across
@@ -114,7 +115,7 @@ func serveDrill(d *smoke.Drill) string {
 	// shards of 1 executor each. If parked handlers held their
 	// executors the burst would take ceil(32/4) × 250 ms = 2 s; the
 	// reactor overlaps them, so it must finish well under that floor.
-	t0 := time.Now()
+	t0 = time.Now()
 	codes := burst(32, 32, "/io?ms=250&backend=go&wait=1")
 	wall := time.Since(t0)
 	log.Printf("io burst: 32 × 250 ms parked waits in %v (serialized floor 2 s), statuses %v", wall, codes)
@@ -217,7 +218,7 @@ func serveDrill(d *smoke.Drill) string {
 	}
 
 	// ---- SIGTERM drains cleanly.
-	d.Drain(srv)
+	d.Drain(serveDrainWithin, srv)
 	return fmt.Sprintf("%d backends, %d requests accepted, %v steals, drain identity held, idle and drained cleanly",
 		len(backends), accepted, steals)
 }

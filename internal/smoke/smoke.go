@@ -1,10 +1,11 @@
 // Package smoke is the harness behind cmd/drill, the end-to-end drills
-// of the serving stack: it boots lwtserved workers and lwtgate gates on
-// ephemeral ports with their output archived to a log directory, waits
-// for readiness, classifies each request as lost, ok or an explicit
-// error, reads Prometheus samples and a process's CPU time, checks that
-// every process drains cleanly on SIGTERM, and tallies failed checks so
-// that one run reports as many failures as it can.
+// of the serving stack: it starts daemons with their output archived to
+// a log directory and waits for the address they announce and for
+// readiness, classifies each request as lost, ok or an explicit error,
+// reads Prometheus samples and (from /proc, on Linux) a process's CPU
+// time, checks that every process drains cleanly on SIGTERM, and
+// tallies failed checks so that one run reports as many failures as it
+// can. The daemons' flags are the drills' business, not this package's.
 package smoke
 
 import (
@@ -53,17 +54,15 @@ type Proc struct {
 }
 
 // Start launches bin, tees its output to LogDir/<name>.log, and waits
-// up to 30 s for its "listening on <addr>" line. The child runs in its
-// own process group and is SIGKILLed when the drill dies (Pdeathsig),
-// so a drill killed by a timeout, an interrupt, a panic or Fatalf
-// leaves no daemon behind.
-func (d *Drill) Start(name, bin string, args ...string) (*Proc, error) {
+// up to within for its "listening on <addr>" line. The child gets
+// procAttr: on Linux it dies with the drill.
+func (d *Drill) Start(name string, within time.Duration, bin string, args ...string) (*Proc, error) {
 	logFile, err := os.Create(filepath.Join(d.LogDir, name+".log"))
 	if err != nil {
 		return nil, err
 	}
 	p := &Proc{Name: name, Cmd: exec.Command(bin, args...), waitDone: make(chan struct{})}
-	p.Cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true, Pdeathsig: syscall.SIGKILL}
+	p.Cmd.SysProcAttr = procAttr()
 	out, err := p.Cmd.StdoutPipe()
 	if err == nil {
 		p.Cmd.Stderr = p.Cmd.Stdout
@@ -100,15 +99,15 @@ func (d *Drill) Start(name, bin string, args ...string) (*Proc, error) {
 		return p, nil
 	case <-p.waitDone:
 		return nil, fmt.Errorf("%s exited before announcing its address (see %s.log)", name, name)
-	case <-time.After(30 * time.Second):
-		p.Kill()
-		return nil, fmt.Errorf("%s did not announce its address within 30s", name)
+	case <-time.After(within):
+		_ = p.Cmd.Process.Kill()
+		return nil, fmt.Errorf("%s did not announce its address within %v", name, within)
 	}
 }
 
 // Boot is Start that ends the drill on failure.
-func (d *Drill) Boot(name, bin string, args ...string) *Proc {
-	p, err := d.Start(name, bin, args...)
+func (d *Drill) Boot(name string, within time.Duration, bin string, args ...string) *Proc {
+	p, err := d.Start(name, within, bin, args...)
 	if err != nil {
 		d.Fatalf("%v", err)
 	}
@@ -116,35 +115,11 @@ func (d *Drill) Boot(name, bin string, args ...string) *Proc {
 	return p
 }
 
-// BootWorkers boots n lwtserved processes, worker-0 .. worker-<n-1>, on
-// ephemeral ports with the cluster drills' shard and queue settings.
-func (d *Drill) BootWorkers(bin string, n int) []*Proc {
-	procs := make([]*Proc, n)
-	for i := range procs {
-		procs[i] = d.Boot(fmt.Sprintf("worker-%d", i), bin,
-			"-addr", "127.0.0.1:0", "-shards", "2", "-threads", "1",
-			"-queue", "256", "-drain", "20s")
-	}
-	return procs
-}
-
-// BootGate boots an lwtgate over the given worker addresses on an
-// ephemeral port, with the health-check and drain settings every drill
-// shares plus the scenario's own args, and waits until it is ready.
-func (d *Drill) BootGate(c *http.Client, bin string, workers []string, args ...string) *Proc {
-	args = append([]string{"-addr", "127.0.0.1:0", "-workers", strings.Join(workers, ","),
-		"-check-interval", "200ms", "-check-timeout", "1s", "-ready-after", "2",
-		"-retries", "2", "-drain", "20s"}, args...)
-	gate := d.Boot("gate", bin, args...)
-	d.WaitReady(c, "http://"+gate.Addr)
-	return gate
-}
-
-// WaitReady polls base/readyz for up to 10 s and ends the drill if it
-// never answers 200.
-func (d *Drill) WaitReady(c *http.Client, base string) {
-	if !Poll(10*time.Second, 100*time.Millisecond, func() bool { return Get(c, base+"/readyz", nil).Status == http.StatusOK }) {
-		d.Fatalf("%s never became ready", base)
+// WaitReady polls base/readyz for up to within and ends the drill if
+// it never answers 200.
+func (d *Drill) WaitReady(c *http.Client, base string, within time.Duration) {
+	if !Poll(within, 100*time.Millisecond, func() bool { return Get(c, base+"/readyz", nil).Status == http.StatusOK }) {
+		d.Fatalf("%s not ready within %v", base, within)
 	}
 }
 
@@ -172,20 +147,12 @@ func (p *Proc) SignalAndWait(sig syscall.Signal, timeout time.Duration) (int, er
 	}
 }
 
-// Kill stops the process if it is still running.
-func (p *Proc) Kill() {
-	select {
-	case <-p.waitDone:
-	default:
-		_ = p.Cmd.Process.Kill()
-	}
-}
-
 // Drain SIGTERMs each process and checks the drain contract: exit 0
-// within 30 s, "drained cleanly" in its log, and no "dropped future".
-func (d *Drill) Drain(procs ...*Proc) {
+// within the given time, "drained cleanly" in its log, and no
+// "dropped future".
+func (d *Drill) Drain(within time.Duration, procs ...*Proc) {
 	for _, p := range procs {
-		if code, err := p.SignalAndWait(syscall.SIGTERM, 30*time.Second); err != nil || code != 0 {
+		if code, err := p.SignalAndWait(syscall.SIGTERM, within); err != nil || code != 0 {
 			d.Failf("%s drain: exit=%d err=%v", p.Name, code, err)
 			continue
 		}
@@ -209,7 +176,7 @@ func (d *Drill) Failf(format string, args ...any) {
 func (d *Drill) Failed() int { return int(d.failures.Load()) }
 
 // Fatalf logs a failure the drill cannot continue past and exits 1;
-// Pdeathsig takes the started processes down with it.
+// on Linux the started processes die with it.
 func (d *Drill) Fatalf(format string, args ...any) {
 	log.Fatalf("FATAL: "+format, args...)
 }
