@@ -419,8 +419,8 @@ func BenchmarkAblationDequeLocking(b *testing.B) {
 // creating and joining one work unit — on the Argobots emulation, where
 // the join-and-free discipline recycles descriptors through the ult
 // package's pools. Both variants run the steady-state recycled cycle:
-// the ULT path reuses the parked trampoline goroutine inside the pooled
-// descriptor (0 spawns) and its single allocation is the public handle,
+// the ULT path reuses a pooled coroutine for the pooled descriptor
+// (0 spawns) and its single allocation is the public handle,
 // which doubles as the body argument; the join parks the primary in the
 // unit's waiter slot after one cooperative poll.
 func BenchmarkULTCreateJoin(b *testing.B) {

@@ -459,8 +459,8 @@ func main() {
 	// the way a blocking sleep would. Returns the measured wait in
 	// milliseconds.
 	mux.HandleFunc("/io", handle(g, func(r *http.Request, sub *lwt.Submitter, n int) (*lwt.Future[float64], error) {
-		// The documented knob is ?ms= (README, serve-smoke); ?n= keeps
-		// working as the handle()-provided fallback.
+		// The documented knob is ?ms= (README, cmd/drill -scenario
+		// serve); ?n= keeps working as the handle()-provided fallback.
 		ms := qint(r, "ms", n, 1, 10_000)
 		body := func(c lwt.Ctx) (float64, error) {
 			t0 := time.Now()

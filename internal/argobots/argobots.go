@@ -6,11 +6,18 @@
 //
 // The caller of Init becomes the primary ULT of ES 0, exactly as
 // ABT_init makes main() the primary ULT. Joins follow the Argobots
-// join-and-free discipline (ABT_thread_free in Table II): the joiner polls
-// the work unit's status — yielding between polls when it is itself a
-// ULT — and releases the unit's resources when done. The paper attributes
-// Argobots' best-in-class Figures 2–4 behaviour to the cheap status-check
-// join plus tasklets; both are reproduced here.
+// join-and-free discipline (ABT_thread_free in Table II): the joiner
+// waits for the work unit and releases its resources when done. The
+// paper attributes Argobots' best-in-class Figures 2–4 behaviour to the
+// cheap join plus tasklets. A main-thread join parks the primary in the
+// unit's waiter slot until the finishing unit resumes it. A worker-side
+// join (Context.Join) first switches straight to a joinee that is still
+// Ready and may run on the joiner's stream — the yield_to operation
+// applied to the joinee (ult.DispatchFrom) — so the joinee runs on the
+// joiner's stream and hands control back to the joiner, not to the
+// scheduler. A joinee that yields is requeued on the joiner's stream; one
+// that blocks, or that is already running elsewhere, is waited for by
+// parking in its waiter slot.
 package argobots
 
 import (
@@ -111,10 +118,15 @@ func (x *XStream) Stats() *ult.ExecStats { return x.exec.Stats() }
 // argument (ult.NewWith), and the create/join cycle's only allocation is
 // the handle itself.
 type Thread struct {
-	u     *ult.ULT
-	rt    *Runtime
-	fn    func(*Context)
-	gen   uint64
+	u   *ult.ULT
+	rt  *Runtime
+	fn  func(*Context)
+	gen uint64
+	// home is the ES the thread was placed on with ThreadCreateTo, or -1
+	// for threads dealt round-robin (ThreadCreate, ThreadCreateBulk):
+	// direct transfers (YieldTo, a direct-switch join) may run only an
+	// unplaced thread, or one placed on the caller's own stream.
+	home  int
 	ctx   Context
 	freed atomic.Bool
 }
@@ -180,7 +192,7 @@ func Init(cfg Config) *Runtime {
 	}
 	rt.primary = ult.Adopt(rt.xstreams[0].exec)
 	rt.pWaiter = &ult.DoneWaiter{Fn: func(*ult.Executor) {
-		ult.ResumeAndRequeue(rt.primary, func(j *ult.ULT) { rt.pushTo(j, 0) })
+		ult.ResumeAndRequeue(rt.primary, func(j *ult.ULT) { rt.requeueTo(j, 0) })
 	}}
 	for i, x := range rt.xstreams {
 		rt.wg.Add(1)
@@ -242,10 +254,18 @@ func (rt *Runtime) xstream(i int) *XStream {
 	return rt.xstreams[i]
 }
 
-// pushTo inserts a ready unit into the pool serving ES es and wakes the
-// streams parked on that pool.
+// pushTo makes a freshly created unit ready and inserts it into the pool
+// serving ES es.
 func (rt *Runtime) pushTo(u ult.Unit, es int) {
 	ult.MarkReady(u)
+	rt.requeueTo(u, es)
+}
+
+// requeueTo inserts a unit that is already Ready (resumed, or yielded
+// from a direct-switch join) into the pool serving ES es and wakes the
+// streams parked on that pool. It leaves the status alone: a stale pool
+// entry may have claimed the unit since it became Ready.
+func (rt *Runtime) requeueTo(u ult.Unit, es int) {
 	if rt.shared != nil {
 		rt.shared.Push(u)
 		rt.idle.Wake()
@@ -266,20 +286,29 @@ func (rt *Runtime) nextES() int {
 
 // ThreadCreate creates a ULT and makes it runnable (ABT_thread_create).
 // With private pools the unit is dealt round-robin across streams, as the
-// paper's microbenchmarks do.
+// paper's microbenchmarks do; it carries no placement.
 func (rt *Runtime) ThreadCreate(fn func(*Context)) *Thread {
-	return rt.ThreadCreateTo(fn, rt.nextES())
+	th := rt.newThread(fn, -1)
+	rt.pushTo(th.u, rt.nextES())
+	return th
 }
 
-// ThreadCreateTo creates a ULT directly in the pool of ES es. In steady
-// state this is allocation-free beyond the returned handle: the handle
-// doubles as the body argument (ult.NewWith), and the descriptor — parked
-// trampoline goroutine included — comes from the substrate's reuse pool.
+// ThreadCreateTo creates a ULT directly in the pool of ES es and records
+// es as its placement. In steady state this is allocation-free beyond the
+// returned handle: the handle doubles as the body argument
+// (ult.NewWith), and the descriptor — pooled coroutine included — comes
+// from the substrate's reuse pool.
 func (rt *Runtime) ThreadCreateTo(fn func(*Context), es int) *Thread {
-	th := &Thread{rt: rt, fn: fn}
+	th := rt.newThread(fn, es)
+	rt.pushTo(th.u, es)
+	return th
+}
+
+// newThread builds a thread handle and its descriptor, not yet runnable.
+func (rt *Runtime) newThread(fn func(*Context), home int) *Thread {
+	th := &Thread{rt: rt, fn: fn, home: home}
 	th.u = ult.NewWith(threadBody, th)
 	th.gen = th.u.Gen()
-	rt.pushTo(th.u, es)
 	return th
 }
 
@@ -323,9 +352,7 @@ func (rt *Runtime) ThreadCreateBulk(fns []func(*Context)) []*Thread {
 	ths := make([]*Thread, len(fns))
 	units := make([]ult.Unit, len(fns))
 	for i, fn := range fns {
-		th := &Thread{rt: rt, fn: fn}
-		th.u = ult.NewWith(threadBody, th)
-		th.gen = th.u.Gen()
+		th := rt.newThread(fn, -1) // dealt, not placed
 		ths[i] = th
 		units[i] = th.u
 	}
@@ -387,7 +414,7 @@ func (rt *Runtime) Yield() { rt.primary.Yield() }
 // into ES 0's pool through the push-and-wake path every resume takes. It
 // is the wait-for-anything form of parkPrimary's wait-for-one-unit join.
 func (rt *Runtime) MainPark() (park, unpark func()) {
-	return ult.MainPark(rt.primary, func(j *ult.ULT) { rt.pushTo(j, 0) })
+	return ult.MainPark(rt.primary, func(j *ult.ULT) { rt.requeueTo(j, 0) })
 }
 
 // parkPrimary performs one wait step of a main-thread join: the primary
@@ -574,8 +601,23 @@ func (c *Context) Yield() { c.self.Yield() }
 
 // YieldTo hands control directly to the target ULT, skipping the
 // scheduler (ABT_thread_yield_to) — the operation only Argobots offers in
-// Table I. If the target is not runnable the call degrades to Yield.
-func (c *Context) YieldTo(target *Thread) { c.self.YieldTo(target.u) }
+// Table I. If the target is not runnable, or is placed on another stream
+// (running it here would break ThreadCreateTo placement), the call
+// degrades to Yield.
+func (c *Context) YieldTo(target *Thread) {
+	if !c.mayRunHere(target) {
+		c.self.Yield()
+		return
+	}
+	c.self.YieldTo(target.u)
+}
+
+// mayRunHere reports whether a direct transfer may run th on the calling
+// ULT's stream: th carries no placement, or is placed on this stream, or
+// every stream serves the one shared pool anyway.
+func (c *Context) mayRunHere(th *Thread) bool {
+	return c.rt.shared != nil || th.home < 0 || th.home == c.XStreamID()
+}
 
 // parkSelf performs one wait step of a worker-side join: the running ULT
 // parks in u's waiter slot, and the finishing unit resumes it straight
@@ -584,17 +626,28 @@ func (c *Context) YieldTo(target *Thread) { c.self.YieldTo(target.u) }
 // yields once instead and the caller re-checks completion.
 func (c *Context) parkSelf(u ult.WaiterSlot) bool {
 	rt := c.rt
-	es := c.self.Owner().ID()
-	if ult.ParkJoinStep(c.self, u, func(j *ult.ULT, _ *ult.Executor) { rt.pushTo(j, es) }) {
+	es := c.XStreamID()
+	if ult.ParkJoinStep(c.self, u, func(j *ult.ULT, _ *ult.Executor) { rt.requeueTo(j, es) }) {
 		return true
 	}
 	c.self.Yield()
 	return false
 }
 
-// Join waits for the target ULT, parking in its waiter slot (falling back
-// to a status-poll-plus-yield when another joiner holds the slot).
+// Join waits for the target ULT. A target that is still Ready and may run
+// on this stream is switched to directly: it runs here, from the joiner's
+// own coroutine, and hands control back to the joiner (ult.DispatchFrom).
+// If it completes, the join is over without a park or a scheduler pass;
+// if it yields, it is requeued on this stream. Otherwise — the target
+// yielded or blocked, or is running elsewhere — the joiner parks in its
+// waiter slot (falling back to a status-poll-plus-yield when another
+// joiner holds the slot).
 func (c *Context) Join(th *Thread) {
+	if !th.Done() && c.mayRunHere(th) {
+		if c.self.DispatchFrom(th.u) == ult.DispatchYielded {
+			c.rt.requeueTo(th.u, c.XStreamID())
+		}
+	}
 	for !th.Done() {
 		if c.parkSelf(th.u) {
 			return
@@ -643,9 +696,10 @@ func (c *Context) TaskCreateTo(fn func(), es int) *Task {
 
 // XStreamID reports the rank of the execution stream currently running
 // the ULT (ABT_xstream_self_rank). With private pools a ULT created with
-// ThreadCreateTo(es) is only ever dispatched by ES es, so the value is
-// stable; with the shared pool it reflects whichever stream popped the
-// unit last.
+// ThreadCreateTo(es) is only ever dispatched by ES es — direct transfers
+// run it only from ES es too — so the value is stable; with the shared
+// pool, or for a ThreadCreate unit run by a direct-switch join, it
+// reflects whichever stream ran the unit last.
 func (c *Context) XStreamID() int { return c.self.Owner().ID() }
 
 // IOPark builds the park/unpark pair the aio reactor blocks this ULT
@@ -659,6 +713,6 @@ func (c *Context) IOPark() (park func(), unpark func()) {
 	self, rt := c.self, c.rt
 	es := self.Owner().ID()
 	return func() { self.Suspend() }, func() {
-		ult.ResumeAndRequeue(self, func(j *ult.ULT) { rt.pushTo(j, es) })
+		ult.ResumeAndRequeue(self, func(j *ult.ULT) { rt.requeueTo(j, es) })
 	}
 }

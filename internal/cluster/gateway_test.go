@@ -328,8 +328,8 @@ func TestGatewayMetricsHandlers(t *testing.T) {
 	}
 }
 
-// TestGatewayConcurrentLoadWithKill is the in-package miniature of the
-// cluster-smoke scenario: concurrent keyed+unkeyed load, one worker
+// TestGatewayConcurrentLoadWithKill is the in-package miniature of
+// cmd/drill -scenario cluster: concurrent keyed+unkeyed load, one worker
 // killed mid-stream, zero lost requests (every request gets a terminal
 // response) and keyed traffic to survivors keeps its assignment.
 func TestGatewayConcurrentLoadWithKill(t *testing.T) {

@@ -76,11 +76,9 @@ type argoBackend struct {
 
 type argoULT struct {
 	th *argobots.Thread
-	b  *argoBackend
-	// pinned is the ES this ULT was placed on with ULTCreateTo under
-	// private pools (-1 when unpinned): YieldTo must not hijack it onto
-	// another stream, or the Placement promise breaks.
-	pinned int
+	// ctx is the Ctx the body runs with, embedded so a create allocates
+	// no per-run context; ctx.b also names the handle's runtime.
+	ctx argoCtx
 	// joining elects the one unified-API joiner allowed to perform the
 	// join-and-free (and so to park on the descriptor); concurrent
 	// joiners that lose the claim poll Done, which stays answerable
@@ -94,6 +92,21 @@ type argoULT struct {
 }
 
 func (h *argoULT) Done() bool { return h.joined.Load() || h.th.Done() }
+
+func (b *argoBackend) newULT() *argoULT {
+	h := &argoULT{}
+	h.ctx.b = b
+	return h
+}
+
+// body adapts fn to the substrate's body type, running it with the
+// handle's embedded context.
+func (h *argoULT) body(fn func(Ctx)) func(*argobots.Context) {
+	return func(c *argobots.Context) {
+		h.ctx.c = c
+		fn(&h.ctx)
+	}
+}
 
 type argoTasklet struct {
 	tk      *argobots.Task
@@ -131,9 +144,9 @@ func (b *argoBackend) NumExecutors() int { return b.rt.NumXStreams() }
 func (b *argoBackend) SchedStats() queue.Counts { return b.rt.SchedStats() }
 
 func (b *argoBackend) ULTCreate(fn func(Ctx)) Handle {
-	return &argoULT{b: b, pinned: -1, th: b.rt.ThreadCreate(func(c *argobots.Context) {
-		fn(&argoCtx{b: b, c: c})
-	})}
+	h := b.newULT()
+	h.th = b.rt.ThreadCreate(h.body(fn))
+	return h
 }
 
 // ULTCreateTo pushes the ULT into the pool of the named execution stream
@@ -141,14 +154,9 @@ func (b *argoBackend) ULTCreate(fn func(Ctx)) Handle {
 // it; with the shared pool every push lands in the one pool, so placement
 // degrades to ordinary creation (Caps().Placement is false there).
 func (b *argoBackend) ULTCreateTo(executor int, fn func(Ctx)) Handle {
-	es := modExec(executor, b.rt.NumXStreams())
-	pinned := -1
-	if b.pools == argobots.PrivatePools {
-		pinned = es
-	}
-	return &argoULT{b: b, pinned: pinned, th: b.rt.ThreadCreateTo(func(c *argobots.Context) {
-		fn(&argoCtx{b: b, c: c})
-	}, es)}
+	h := b.newULT()
+	h.th = b.rt.ThreadCreateTo(h.body(fn), modExec(executor, b.rt.NumXStreams()))
+	return h
 }
 
 func (b *argoBackend) TaskletCreate(fn func()) Handle {
@@ -175,15 +183,14 @@ func (b *argoBackend) runSpawned(c *argobots.Context, w any) {
 // ULTCreateBulk implements BulkBackend over the substrate's batched
 // round-robin dealing (one pool insertion per stream, one wake).
 func (b *argoBackend) ULTCreateBulk(fns []func(Ctx)) []Handle {
+	hs := make([]Handle, len(fns))
 	afns := make([]func(*argobots.Context), len(fns))
 	for i, fn := range fns {
-		fn := fn
-		afns[i] = func(c *argobots.Context) { fn(&argoCtx{b: b, c: c}) }
+		h := b.newULT()
+		hs[i], afns[i] = h, h.body(fn)
 	}
-	ths := b.rt.ThreadCreateBulk(afns)
-	hs := make([]Handle, len(ths))
-	for i, th := range ths {
-		hs[i] = &argoULT{b: b, pinned: -1, th: th}
+	for i, th := range b.rt.ThreadCreateBulk(afns) {
+		hs[i].(*argoULT).th = th
 	}
 	return hs
 }
@@ -252,35 +259,23 @@ func (c *argoCtx) IOPark() (park func(), unpark func()) { return c.c.IOPark() }
 
 // YieldTo hands control directly to the target ULT
 // (ABT_thread_yield_to) — the operation only Argobots grants in Table I.
-// It degrades to a plain Yield for non-ULT handles, handles of another
+// It degrades to a plain Yield for non-ULT handles and handles of another
 // runtime (a direct transfer would hijack them onto this runtime's
-// executor), and ULTs pinned to a different execution stream (the
-// transfer runs the target here, which would break the Placement
-// promise of ULTCreateTo).
+// executor); the substrate degrades it for ULTs placed on a different
+// execution stream, keeping the Placement promise of ULTCreateTo.
 func (c *argoCtx) YieldTo(h Handle) {
 	v, ok := h.(*argoULT)
-	if !ok || v.b != c.b || (v.pinned >= 0 && v.pinned != c.ExecutorID()) {
+	if !ok || v.ctx.b != c.b {
 		c.c.Yield()
 		return
 	}
 	c.c.YieldTo(v.th)
 }
 
-func (c *argoCtx) ULTCreate(fn func(Ctx)) Handle {
-	return &argoULT{b: c.b, pinned: -1, th: c.c.ThreadCreate(func(cc *argobots.Context) {
-		fn(&argoCtx{b: c.b, c: cc})
-	})}
-}
+func (c *argoCtx) ULTCreate(fn func(Ctx)) Handle { return c.b.ULTCreate(fn) }
 
 func (c *argoCtx) ULTCreateTo(executor int, fn func(Ctx)) Handle {
-	es := modExec(executor, c.b.rt.NumXStreams())
-	pinned := -1
-	if c.b.pools == argobots.PrivatePools {
-		pinned = es
-	}
-	return &argoULT{b: c.b, pinned: pinned, th: c.c.ThreadCreateTo(func(cc *argobots.Context) {
-		fn(&argoCtx{b: c.b, c: cc})
-	}, es)}
+	return c.b.ULTCreateTo(executor, fn)
 }
 
 func (c *argoCtx) TaskletCreate(fn func()) Handle {

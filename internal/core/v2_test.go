@@ -395,6 +395,50 @@ func TestYieldToRespectsPlacement(t *testing.T) {
 	}
 }
 
+// TestJoinRespectsPlacement: a worker-side join switches straight to a
+// ready joinee only where the joinee may run, so a child placed on ES 1
+// and joined from ES 0 still runs on ES 1.
+func TestJoinRespectsPlacement(t *testing.T) {
+	r := MustOpen(Config{Backend: "argobots", Executors: 2})
+	defer r.Finalize()
+	for i := 0; i < 20; i++ {
+		var joiner, observed atomic.Int64
+		root := r.ULTCreateTo(0, func(c Ctx) {
+			joiner.Store(int64(c.ExecutorID()))
+			h := c.ULTCreateTo(1, func(cc Ctx) {
+				observed.Store(int64(cc.ExecutorID()) + 1)
+			})
+			c.Join(h)
+		})
+		r.Join(root)
+		if got := joiner.Load(); got != 0 {
+			t.Fatalf("joiner placed on executor 0 ran on %d", got)
+		}
+		if got := observed.Load() - 1; got != 1 {
+			t.Fatalf("joinee placed on executor 1 ran on %d", got)
+		}
+	}
+}
+
+// TestCtxJoinAllocBudget pins the worker-side create+join of a ready
+// child on argobots: the handle (with its embedded context), the body
+// adapter, the substrate's thread handle, and the descriptor, which a
+// direct-switch join keeps out of the reuse pool.
+func TestCtxJoinAllocBudget(t *testing.T) {
+	r := MustOpen(Config{Backend: "argobots", Executors: 1})
+	defer r.Finalize()
+	var got float64
+	root := r.ULTCreate(func(c Ctx) {
+		body := func(Ctx) {}
+		got = testing.AllocsPerRun(1000, func() { c.Join(c.ULTCreate(body)) })
+	})
+	r.Join(root)
+	t.Logf("Ctx ULTCreate -> Join: %.2f allocs", got)
+	if got > 4 {
+		t.Fatalf("Ctx ULTCreate -> Join = %.2f allocs, budget 4", got)
+	}
+}
+
 // TestYieldToTransfersOrDegrades: where capabilities grant YieldTo, the
 // target must have run by the time the call returns (single executor:
 // control really was handed over); everywhere else the call must behave

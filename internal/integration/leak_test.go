@@ -20,10 +20,10 @@ func settledGoroutines() int {
 }
 
 // TestNoGoroutineLeakAcrossCreateJoinCycles is the spawn-free regression
-// gate: with trampoline descriptor reuse, a steady-state create/join
-// cycle must not spawn (ULTs reuse the parked goroutine in their pooled
-// descriptor) and must not leak (killed trampolines exit; watcher
-// goroutines are gone from the join paths). The count may wobble by the
+// gate: with descriptor and coroutine reuse, a steady-state create/join
+// cycle must not spawn (ULTs reuse a pooled coroutine) and must not leak
+// (coroutines beyond the idle cap are stopped; watcher goroutines are
+// gone from the join paths). The count may wobble by the
 // few descriptors whose terminal release lags a beat behind the join,
 // but it must stay flat across 10k cycles on every backend.
 func TestNoGoroutineLeakAcrossCreateJoinCycles(t *testing.T) {

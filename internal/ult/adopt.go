@@ -21,48 +21,46 @@ import "sync/atomic"
 // the normal dispatch path).
 func Adopt(e *Executor) *ULT {
 	p := &ULT{
-		id:         nextID(),
+		id: nextID(),
+		// The adopted goroutine IS the body: every dispatch after a
+		// yield hands the token to it over resume, never through a
+		// coroutine.
 		resume:     make(chan struct{}),
 		migratable: true, // work-first runtimes move the main flow
 		label:      "primary",
-		// The adopted goroutine IS the body: every dispatch after a
-		// yield must hand the token to it, never bind a pool goroutine.
-		bound: true,
 	}
 	p.status.Store(int32(StatusRunning))
 	p.owner = e
 	return p
 }
 
-// AwaitHandback blocks until the currently running (adopted or dispatched)
-// ULT hands control back and classifies the hand-off exactly like
-// dispatch. The executor loop of an adopted executor starts with this
-// call: conceptually the primary ULT was "dispatched" by the runtime's
+// AwaitHandback blocks until the adopted primary running on e hands
+// control back and settles the hand-off exactly like dispatch. The
+// executor loop of an adopted executor starts with this call:
+// conceptually the primary ULT was "dispatched" by the runtime's
 // initialization.
 func (e *Executor) AwaitHandback() (*ULT, DispatchResult) {
 	h := <-e.handback
-	return h.t, e.classifyHandoff(h)
+	return h.t, e.settle(h.t, h.st)
 }
 
 // Detach ends the adopted primary ULT's participation in the runtime: it
 // marks the primary Done and returns control to the executor loop one last
 // time, without parking the caller. The caller's goroutine continues as a
 // plain goroutine; the executor loop observes a completed unit and, once
-// its idler is closed, returns at its next empty poll. Must be called from the adopted goroutine while
-// it holds the control token (i.e., while it is Running).
+// its idler is closed, returns at its next empty poll. Must be called
+// from the adopted goroutine while it holds the control token (i.e.,
+// while it is Running).
 //
-// An adopted descriptor has no trampoline and never enters the reuse
-// pool: Detach publishes completion exactly like finish but leaves the
-// release protocol untouched.
+// An adopted descriptor has no coroutine and never enters the reuse
+// pool: Detach publishes completion with finish but leaves the release
+// protocol untouched.
 func (t *ULT) Detach() {
 	if t.Status() != StatusRunning {
 		panic("ult: Detach on a ULT that is not running")
 	}
-	owner := t.owner
-	t.status.Store(int32(StatusDone))
-	t.comp.Store(t.gen.Load() + 1)
-	t.sealWaiters(owner)
-	owner.handback <- handoff{t: t, st: StatusDone}
+	t.finish()
+	t.owner.handback <- handoff{t: t, st: StatusDone}
 }
 
 // MainPark builds the park/unpark pair an adopted primary waits on when

@@ -13,12 +13,10 @@ import "sync/atomic"
 type Executor struct {
 	id int
 
-	// handback receives control tokens from the ULT that is currently
-	// running on this executor (on yield, suspend, or completion). The
-	// message carries the disposition the ULT had at hand-off time:
-	// classifying from the ULT's live status instead would race with a
-	// third party that resumes and re-dispatches the unit before this
-	// executor reads it.
+	// handback receives the control token from an adopted primary ULT
+	// running on this executor (on yield, suspend, or Detach); pooled
+	// ULTs hand back through their coroutine instead. The message carries
+	// the disposition the primary had at hand-off time.
 	handback chan handoff
 
 	// hintT/hintGen name the ULT that YieldTo requested to run next,
@@ -30,15 +28,20 @@ type Executor struct {
 	// Plain fields, not atomics: setHint is only called by the work unit
 	// currently holding this executor's control token, and takeHint only
 	// by the scheduling loop after that unit handed the token back, so
-	// the hand-off channel already orders every access.
+	// the hand-off switch already orders every access.
 	hintT   *ULT
 	hintGen uint64
 
 	// empties counts consecutive empty polls since the last dispatch and
 	// epoch is the idler generation captured once the spin budget is
-	// spent (see idle); touched only by the scheduling loop's goroutine.
+	// spent (see idle); touched only by whoever holds the control token
+	// (the scheduling loop, or a joiner's DispatchFrom).
 	empties uint32
 	epoch   uint64
+	// idled records an empty poll since the last loop-level ULT
+	// dispatch: set by idle, cleared by Step, which then wakes an idle P
+	// (wakeIdleP). Same ownership as empties.
+	idled bool
 
 	stats ExecStats
 }
@@ -68,7 +71,8 @@ type ExecStats struct {
 	Steals atomic.Uint64
 }
 
-// handoff is the message a ULT sends its executor when returning control.
+// handoff is the message an adopted primary sends its executor when
+// returning control.
 type handoff struct {
 	t  *ULT
 	st Status
@@ -125,13 +129,15 @@ const (
 	// will Resume and re-enqueue it.
 	DispatchBlocked
 	// DispatchSkipped means the unit could not be claimed (it was
-	// already running elsewhere via a YieldTo hint, or already done).
+	// already running elsewhere via a YieldTo hint or a DispatchFrom,
+	// or already done).
 	DispatchSkipped
 )
 
 // dispatch claims and runs a ULT until it hands control back, and reports
 // how it returned. A unit that cannot be claimed is skipped — this is how
-// stale pool entries left behind by YieldTo are discarded.
+// stale pool entries left behind by YieldTo and DispatchFrom are
+// discarded.
 func (e *Executor) dispatch(t *ULT) DispatchResult {
 	if !t.claim() {
 		return DispatchSkipped
@@ -140,62 +146,46 @@ func (e *Executor) dispatch(t *ULT) DispatchResult {
 }
 
 // dispatchClaimed runs a ULT the caller has already claimed (via a
-// successful Resume+claim or takeHint+claim path). The incarnation's
-// first dispatch binds a trampoline goroutine from the central idle pool
-// (which starts the body directly); later dispatches hand the control
-// token to the already-bound goroutine parked in Yield/Suspend.
+// successful Resume+claim or takeHint+claim path) until it switches back.
+// The incarnation's first dispatch binds an idle coroutine, which starts
+// the body; later dispatches resume the coroutine where the body yielded
+// or suspended.
 func (e *Executor) dispatchClaimed(t *ULT) DispatchResult {
 	t.owner = e
 	e.empties = 0
 	e.stats.Dispatches.Add(1)
-	if !t.bound {
-		t.bound = true
-		bind(t)
-	} else {
-		t.resume <- struct{}{}
-	}
-	back := <-e.handback
-	if back.t != t {
-		// The hand-off protocol guarantees the token returns from the
-		// dispatched ULT; anything else is substrate corruption.
-		panic("ult: hand-off protocol violation")
-	}
-	return e.classifyHandoff(back)
+	return e.settle(t, t.switchIn(e))
 }
 
-// classifyHandoff converts a hand-off message into a DispatchResult and
-// updates the counters. The message status is authoritative: the ULT's
-// live status may already have moved on (a blocked unit can be resumed
-// and re-dispatched elsewhere before this executor processes the
-// hand-off).
-func (e *Executor) classifyHandoff(h handoff) DispatchResult {
-	switch h.st {
+// settle publishes the disposition t switched back with and counts it.
+// Ready and Blocked are stored here, after the switch, never inside
+// Yield/Suspend: the moment the status is Ready a stale pool entry can
+// claim the unit, and the moment it is Blocked a resumer can requeue it,
+// and either way another executor may resume the coroutine — which must
+// by then have switched out. A completed unit published Done itself
+// (finish), before its waiters ran; settle retires its coroutine.
+func (e *Executor) settle(t *ULT, st Status) DispatchResult {
+	switch st {
 	case StatusDone:
 		e.stats.Completions.Add(1)
+		t.retire()
 		return DispatchDone
 	case StatusReady:
+		t.status.Store(int32(StatusReady))
 		e.stats.Yields.Add(1)
 		return DispatchYielded
 	case StatusBlocked:
+		t.status.Store(int32(StatusBlocked))
 		e.stats.Suspensions.Add(1)
 		return DispatchBlocked
 	default:
-		panic("ult: hand-off in state " + h.st.String())
+		panic("ult: hand-off in state " + st.String())
 	}
 }
 
 // dispatchHint runs the pending YieldTo hint if there is one and it can be
 // claimed. It returns the dispatched ULT's result and true, or false if no
-// hint was runnable.
-//
-// A hint-claimed unit's pool entry (if it had one) goes stale: some
-// scheduler will pop the same pointer later and rely on claim() failing
-// to skip it. That skip is only sound while the pointer still refers to
-// this incarnation, so the descriptor is marked non-recyclable — Free
-// will release it to the garbage collector instead of the reuse pool.
-// Units whose creator promised they never entered a pool (MarkUnpooled —
-// the work-first creation hand-off) leave no stale entry and stay
-// recyclable.
+// hint was runnable. The hint bypasses the pool (dispatchBypass).
 func (e *Executor) dispatchHint() (DispatchResult, *ULT, bool) {
 	h := e.takeHint()
 	if h == nil {
@@ -204,11 +194,42 @@ func (e *Executor) dispatchHint() (DispatchResult, *ULT, bool) {
 	if !h.claim() {
 		return 0, nil, false
 	}
-	if !h.unpooled {
-		h.noRecycle.Store(true)
-	}
 	e.stats.HintHits.Add(1)
-	return e.dispatchClaimed(h), h, true
+	return e.dispatchBypass(h), h, true
+}
+
+// dispatchBypass runs a unit claimed outside its pool — a YieldTo hint or
+// a direct-switch join. Its pool entry (if it had one) goes stale: some
+// scheduler will pop the same pointer later and rely on claim() failing
+// to skip it. That skip is only sound while the pointer still refers to
+// this incarnation, so the descriptor is marked non-recyclable — Free
+// will release it to the garbage collector instead of the reuse pool.
+// Units whose creator promised they never entered a pool (MarkUnpooled —
+// the work-first creation hand-off) leave no stale entry and stay
+// recyclable.
+func (e *Executor) dispatchBypass(t *ULT) DispatchResult {
+	if !t.unpooled {
+		t.noRecycle.Store(true)
+	}
+	return e.dispatchClaimed(t)
+}
+
+// DispatchFrom is the direct switch of a join: the running ULT t claims
+// target and runs it on its own executor, from its own coroutine, without
+// going through the scheduler (Argobots' yield_to applied to a joinee).
+// target switches back to t, not to the scheduling loop, and the result
+// says how: DispatchDone (the join is over), DispatchYielded (target is
+// Ready and the caller must requeue it), DispatchBlocked (target
+// suspended; whoever resumes it requeues it), or DispatchSkipped (target
+// was not Ready — already running elsewhere, blocked or done). Like a
+// YieldTo hint, a claimed target's pool entry goes stale and its
+// descriptor is not recycled. The caller is responsible for placement:
+// target runs on t's executor. Must be called from inside t's body.
+func (t *ULT) DispatchFrom(target *ULT) DispatchResult {
+	if !target.claim() {
+		return DispatchSkipped
+	}
+	return t.owner.dispatchBypass(target)
 }
 
 // RunTasklet executes a tasklet inline. Unclaimable tasklets are skipped.

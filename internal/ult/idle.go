@@ -106,6 +106,7 @@ func (d *Idler) Park(epoch uint64) bool {
 // means work was pushed, even if a sibling wins it.
 func (e *Executor) idle(d *Idler, bat *trace.Batcher) {
 	e.stats.IdleSpins.Add(1)
+	e.idled = true
 	switch {
 	case e.empties < spinBudget:
 		e.empties++

@@ -35,9 +35,10 @@ func (e *Executor) Run(src Source, d *Idler, bat *trace.Batcher) {
 // Step is one dispatch: the pending YieldTo hint if it can be claimed
 // (the hint bypasses the scheduler entirely), otherwise the next unit
 // from src, run to its hand-back and noted in bat under its kind. A ULT
-// that yielded goes back through src.Requeue. Step reports whether it
-// took a unit — including a stale pool entry it skipped — so a caller
-// polls again at once; false means src was empty.
+// that yielded goes back through src.Requeue, and the first pooled ULT
+// after an idle spell first wakes an idle P (wakeIdleP). Step reports
+// whether it took a unit — including a stale pool entry it skipped — so
+// a caller polls again at once; false means src was empty.
 func (e *Executor) Step(src Source, bat *trace.Batcher) bool {
 	if res, h, ok := e.dispatchHint(); ok {
 		if res == DispatchYielded {
@@ -52,6 +53,12 @@ func (e *Executor) Step(src Source, bat *trace.Batcher) bool {
 	bat.Begin()
 	switch v := u.(type) {
 	case *ULT:
+		if e.idled {
+			e.idled = false
+			if v.resume == nil { // an adopted primary's channel wakes a P
+				wakeIdleP()
+			}
+		}
 		if e.dispatch(v) == DispatchYielded {
 			src.Requeue(v)
 		}
@@ -64,3 +71,15 @@ func (e *Executor) Step(src Source, bat *trace.Batcher) bool {
 	}
 	return true
 }
+
+// wakeIdleP has the Go runtime wake an idle P, if there is one, by
+// starting a goroutine that returns at once (starting a goroutine wakes
+// an idle P; a coroutine switch does not). Step calls it before running
+// the first ULT after an idle spell. Such a unit was usually pushed by a
+// goroutine outside the runtime — a request handler — that readied other
+// goroutines on this P along the way (net/http's per-request background
+// reader is one); the body now holds the P until it switches out, and a
+// woken P takes those goroutines instead of leaving them queued behind
+// it. A channel hand-off readies a goroutine and so wakes a P by itself,
+// which is why adopted primaries are skipped.
+func wakeIdleP() { go func() {}() }

@@ -7,19 +7,19 @@ import (
 	"time"
 )
 
-// drainRecycle runs create→dispatch→free cycles until the descriptor
-// economy reaches steady state, then reports the goroutine count.
+// settledGoroutines reports the goroutine count once collected garbage
+// and runnable goroutines have settled.
 func settledGoroutines() int {
 	runtime.GC()
 	runtime.Gosched()
 	return runtime.NumGoroutine()
 }
 
-// The tentpole invariant: a steady-state create/dispatch/free cycle
-// reuses the parked trampoline goroutine instead of spawning. The count
-// may wobble by the handful of descriptors whose terminal release lags a
-// beat behind Free, but it must not grow with the cycle count.
-func TestTrampolineReuseKeepsGoroutinesFlat(t *testing.T) {
+// A steady-state create/dispatch/free cycle reuses a pooled coroutine
+// instead of starting a new one. The count may wobble by the handful of
+// descriptors whose terminal release lags a beat behind Free, but it must
+// not grow with the cycle count.
+func TestCoroutineReuseKeepsGoroutinesFlat(t *testing.T) {
 	e := NewExecutor(0)
 	// Warm the freelist so the loop below runs recycled.
 	for i := 0; i < 100; i++ {

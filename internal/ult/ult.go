@@ -2,19 +2,25 @@
 // every runtime emulation in this repository is built.
 //
 // A ULT is a cooperatively scheduled unit of work with its own private
-// stack. In this implementation each ULT is backed by a parked goroutine
-// and control is transferred with a strict channel hand-off: at any moment
-// an execution stream (Executor) runs at most one ULT, exactly like the C
-// libraries studied in the paper (Argobots, Qthreads, MassiveThreads,
-// Converse Threads). The hand-off gives the substrate real cooperative
-// semantics — Yield, YieldTo, Suspend/Resume and migration between
-// executors — rather than relying on the Go scheduler's preemption.
+// stack. In this implementation each ULT runs on a runtime coroutine
+// (iter.Pull) and control is transferred with a direct coroutine switch:
+// an executor resumes the ULT with the coroutine's next, and the ULT hands
+// control back by yielding its disposition (Ready, Blocked or Done). The
+// switch is a user-level stack switch that bypasses the Go scheduler's run
+// queues, like the C libraries studied in the paper (Argobots, Qthreads,
+// MassiveThreads, Converse Threads), and at any moment an execution stream
+// (Executor) runs at most one ULT. The hand-off gives the substrate real
+// cooperative semantics — Yield, YieldTo, Suspend/Resume, migration
+// between executors, and a joiner running its joinee directly
+// (DispatchFrom) — rather than relying on the Go scheduler's preemption.
 //
-// The backing goroutine is a pooled *trampoline*: it binds to a pooled
-// descriptor for the life of one incarnation and parks in a central idle
-// pool at completion instead of exiting, so a steady-state create/join
-// cycle (the paper's Figures 2–3 hot path) spawns no goroutines and
-// performs no allocations at the descriptor level.
+// The coroutine is pooled: it is bound to a descriptor for the life of one
+// incarnation and returns to a central idle pool at completion, so a
+// steady-state create/join cycle (the paper's Figures 2–3 hot path)
+// creates no goroutines and performs no allocations at the descriptor
+// level. A ULT body must not call runtime.LockOSThread: a coroutine
+// switch requires the thread-lock state it was created with, and the
+// runtime throws on a mismatch.
 //
 // A Tasklet is the second work-unit type of the paper (Argobots Tasklets,
 // Converse Messages): an atomic, stackless unit executed inline by the
@@ -112,29 +118,29 @@ var idCounter atomic.Uint64
 
 func nextID() uint64 { return idCounter.Add(1) }
 
-// Descriptor and goroutine pooling. Freeing a work unit (the Argobots
+// Descriptor and coroutine pooling. Freeing a work unit (the Argobots
 // join-and-free discipline) returns its descriptor to a reuse pool, and
-// the backing *trampoline* goroutine — bound to the descriptor only for
-// the life of one incarnation — parks in a central idle pool at
-// completion, so steady-state create/free cycles neither allocate nor
-// spawn: the paper's create/join hot path (Figures 2–3) recycles the
-// descriptor, the resume channel, and the goroutine.
+// the backing coroutine — bound to the descriptor only for the life of one
+// incarnation — returns to a central idle pool at completion, so
+// steady-state create/free cycles neither allocate nor spawn: the paper's
+// create/join hot path (Figures 2–3) recycles the descriptor and the
+// coroutine.
 //
-// The goroutine pool is central rather than per-descriptor on purpose: a
-// goroutine parked *inside* a dropped descriptor would leak forever (a
+// The coroutine pool is central rather than per-descriptor on purpose: a
+// coroutine parked *inside* a dropped descriptor would leak forever (a
 // blocked goroutine pins itself; finalizers never run), so completed
 // units that are never freed — fire-and-forget handles — must leave
 // nothing parked behind. With the binding released at completion, an
 // unfreed descriptor is plain garbage.
 //
 // A descriptor may only be recycled once *both* parties are finished with
-// it: the caller of Free, and the unit's own final act (the trampoline's
-// terminal hand-back, or the tasklet's completion publication), which can
-// still be in flight when a status-polling joiner observes Done and frees.
-// Each side calls release; the second release performs the recycle. The
-// pooling contract for callers is the same use-after-free rule the C
-// libraries have: a handle must not be touched after the unit was freed
-// (for the unified API: after Join returned).
+// it: the caller of Free, and the unit's own final act (the executor's
+// retire after the terminal switch, or the tasklet's completion
+// publication), which can still be in flight when a status-polling joiner
+// observes Done and frees. Each side calls release; the second release
+// performs the recycle. The pooling contract for callers is the same
+// use-after-free rule the C libraries have: a handle must not be touched
+// after the unit was freed (for the unified API: after Join returned).
 var taskletPool sync.Pool
 
 // ultFreeCap bounds the descriptor freelist; descriptors beyond the
@@ -145,17 +151,6 @@ const ultFreeCap = 8192
 // sends and receives are allocation-free, safe from any goroutine, and
 // immune to the ABA problem a CAS-linked freelist of recycled nodes has.
 var ultFree = make(chan *ULT, ultFreeCap)
-
-// trampolineIdle hands a first-dispatched incarnation to a parked
-// trampoline goroutine; unbuffered, so a successful send IS an idle
-// goroutine. When no goroutine is parked the dispatcher spawns one.
-var trampolineIdle = make(chan *ULT)
-
-// idleTrampolines counts parked trampoline goroutines; the cap bounds
-// what an idle process retains after a burst (excess exit at completion).
-var idleTrampolines atomic.Int64
-
-const maxIdleTrampolines = 1024
 
 // releaseParties is the number of release calls that must land before a
 // descriptor can be recycled.
@@ -172,8 +167,8 @@ var closedChan = func() chan struct{} {
 // DoneWaiter is the single-waiter park slot's entry: a callback the
 // finishing work unit runs when it completes. Register one with SetWaiter.
 //
-// Fn runs on the finishing unit's goroutine *before* the terminal
-// hand-off, so the owning executor's control token is still held: the
+// Fn runs on the finishing unit's coroutine *before* the terminal
+// switch, so the owning executor's control token is still held: the
 // callback may therefore perform owner-side pool operations for that
 // executor (it receives the executor), but it must not block, yield, or
 // re-enter a scheduler. The intended use is exactly one thing: resume a
@@ -202,8 +197,8 @@ type Func func(self *ULT)
 type BodyFunc func(self *ULT, arg any)
 
 // ULT is a user-level thread: an independent, yieldable, migratable work
-// unit with its own private stack (the stack of the trampoline goroutine
-// bound to it for this incarnation).
+// unit with its own private stack (the stack of the coroutine bound to it
+// for this incarnation).
 //
 // The zero value is not usable; create ULTs with New or NewWith.
 type ULT struct {
@@ -217,19 +212,19 @@ type ULT struct {
 
 	status atomic.Int32
 
-	// resume carries the control token from an executor to the ULT while
-	// a trampoline goroutine is bound to it (every dispatch after the
-	// first; the first dispatch binds a goroutine via trampolineIdle).
+	// co is the coroutine bound to this incarnation: set by the executor
+	// on the first dispatch, returned to the idle pool (and cleared) by
+	// retire at completion. Dispatch-side only: the claim CAS chain and
+	// the coroutine switches order all access.
+	co *coro
+	// resume carries the control token from an executor to an adopted
+	// primary (Adopt), whose body is the adopting goroutine rather than
+	// a coroutine; it is nil for every other ULT and doubles as the
+	// "adopted" flag of the hand-off.
 	resume chan struct{}
-	// bound records that a trampoline goroutine is bound to this
-	// incarnation (parked on resume or running the body). Set by the
-	// executor on the incarnation's first dispatch, reset by acquire;
-	// adopted primaries are born bound (the caller's goroutine is the
-	// body). Dispatch-side only: the claim CAS chain orders all access.
-	bound bool
 	// owner is the executor currently running the ULT. It is written by
 	// dispatch before the control token is handed over and read only by
-	// the ULT goroutine while running, so it needs no extra locking.
+	// the ULT itself while running, so it needs no extra locking.
 	owner *Executor
 
 	// comp is the generation-counted completion word: the number of
@@ -263,16 +258,18 @@ type ULT struct {
 	// comp counts against it so completion is per-incarnation.
 	gen atomic.Uint64
 
-	// releases counts the parties (terminal hand-back, Free) that have
-	// finished with the descriptor; the second one recycles it.
+	// releases counts the parties (retire after the terminal switch,
+	// Free) that have finished with the descriptor; the second one
+	// recycles it.
 	releases atomic.Int32
 
 	// noRecycle exempts the descriptor from pooling for the rest of this
-	// incarnation's life. Set when a *pooled* unit is dispatched through a
-	// YieldTo hint: that dispatch leaves the unit's pool entry stale, and
-	// the scheduler that later pops the stale pointer depends on claim()
-	// failing against *this* incarnation — reusing the descriptor would
-	// let the stale entry claim (and misplace) the next one. The
+	// incarnation's life. Set when a *pooled* unit is dispatched past its
+	// pool entry — a YieldTo hint or a direct-switch join
+	// (dispatchBypass): that dispatch leaves the unit's pool entry stale,
+	// and the scheduler that later pops the stale pointer depends on
+	// claim() failing against *this* incarnation — reusing the descriptor
+	// would let the stale entry claim (and misplace) the next one. The
 	// descriptor falls to the garbage collector instead.
 	noRecycle atomic.Bool
 
@@ -288,11 +285,10 @@ type ULT struct {
 
 // New creates a ULT in the Created state. On a recycled descriptor this is
 // a freelist pop, a field reset and a generation bump, and the first
-// dispatch binds a parked trampoline goroutine from the central idle
-// pool — so the steady-state create/dispatch cycle spawns nothing and
-// allocates nothing. Only a cold start pays for a fresh descriptor, its
-// resume channel and a goroutine spawn — deliberately still heavier than
-// a Tasklet, as in the paper.
+// dispatch binds a parked coroutine from the central idle pool — so the
+// steady-state create/dispatch cycle spawns nothing and allocates
+// nothing. Only a cold start pays for a fresh descriptor and a coroutine —
+// deliberately still heavier than a Tasklet, as in the paper.
 func New(fn Func) *ULT {
 	t := acquire()
 	t.fn = fn
@@ -313,7 +309,7 @@ func NewWith(body BodyFunc, arg any) *ULT {
 
 // NewDetachedWith is NewWith for a unit nobody will join or free: the
 // Free party of the descriptor's release pair is settled at creation,
-// so the trampoline's terminal release recycles it. The creator must
+// so the terminal release at completion recycles it. The creator must
 // not touch the unit once it is in a pool; completion is observable
 // only through what the body itself publishes.
 func NewDetachedWith(body BodyFunc, arg any) *ULT {
@@ -323,7 +319,7 @@ func NewDetachedWith(body BodyFunc, arg any) *ULT {
 }
 
 // acquire pops a recycled descriptor from the freelist, or builds a
-// fresh one. No goroutine is involved until the first dispatch.
+// fresh one. No coroutine is involved until the first dispatch.
 func acquire() *ULT {
 	var t *ULT
 	select {
@@ -335,11 +331,10 @@ func acquire() *ULT {
 		t.err = nil
 		t.label = ""
 		t.unpooled = false
-		t.bound = false
 		t.waitCh.Store(nil)
 		t.hook.Store(nil)
 	default:
-		t = &ULT{resume: make(chan struct{})}
+		t = &ULT{}
 	}
 	t.id = nextID()
 	t.migratable = true
@@ -352,40 +347,6 @@ func NewPinned(fn Func) *ULT {
 	t := New(fn)
 	t.migratable = false
 	return t
-}
-
-// bind hands a first-dispatched incarnation to a trampoline goroutine:
-// a parked one from the central idle pool when available, a fresh spawn
-// otherwise. Called by the dispatching executor with the claim won.
-func bind(t *ULT) {
-	select {
-	case trampolineIdle <- t:
-	default:
-		go trampoline(t)
-	}
-}
-
-// trampoline is a pooled worker goroutine: run the assigned incarnation's
-// body, publish completion, hand the control token back, release the
-// descriptor, then park in the central idle pool for the next assignment.
-// The goroutine is the incarnation's stack for exactly one binding —
-// yields and suspends park it on the descriptor's resume channel
-// mid-body — and at completion the binding dissolves, so a descriptor
-// that is never freed (a dropped fire-and-forget handle) is plain
-// garbage, not a parked-goroutine leak. Idle goroutines beyond the cap
-// exit instead of parking.
-func trampoline(t *ULT) {
-	for {
-		t.runBody()
-		t.finish()
-		t.release()
-		if idleTrampolines.Add(1) > maxIdleTrampolines {
-			idleTrampolines.Add(-1)
-			return
-		}
-		t = <-trampolineIdle
-		idleTrampolines.Add(-1)
-	}
 }
 
 // runBody executes the ULT body with panic containment: a panicking work
@@ -406,19 +367,17 @@ func (t *ULT) runBody() {
 	t.fn(t)
 }
 
-// finish publishes completion and returns control to the owning executor:
-// the status and the generation-counted completion word are stored, the
-// lazy waiter channel is closed, the parked joiner (if any) is woken, and
-// only then does the terminal hand-back release the executor. The release
-// that makes the descriptor recyclable is the trampoline's next step
-// after finish returns, so a joiner that observes Done and frees cannot
-// recycle the descriptor out from under this sequence.
+// finish publishes completion: the status and the generation-counted
+// completion word are stored, the lazy waiter channel is closed and the
+// parked joiner (if any) is woken, all while the unit still holds its
+// executor's control token. The coroutine's terminal switch follows, and
+// the release that makes the descriptor recyclable is the executor's
+// retire after that switch, so a joiner that observes Done and frees
+// cannot recycle the descriptor out from under this sequence.
 func (t *ULT) finish() {
-	owner := t.owner
 	t.status.Store(int32(StatusDone))
 	t.comp.Store(t.gen.Load() + 1)
-	t.sealWaiters(owner)
-	owner.handback <- handoff{t: t, st: StatusDone}
+	t.sealWaiters(t.owner)
 }
 
 // sealWaiters publishes completion to both waiter slots: the lazy DoneChan
@@ -434,11 +393,12 @@ func (t *ULT) sealWaiters(owner *Executor) {
 	}
 }
 
-// release records that one of the two parties (the trampoline's terminal
-// step, Free) is finished with the descriptor; the second one recycles
-// it. A descriptor that cannot be recycled — hint-poisoned incarnation,
-// full freelist, or a Free that never comes — is simply garbage: no
-// goroutine is parked inside it.
+// release records that one of the two parties (the executor's retire
+// after the terminal switch, Free) is finished with the descriptor; the
+// second one recycles it. A descriptor that cannot be recycled — an
+// incarnation dispatched past its pool entry (noRecycle), a full
+// freelist, or a Free that never comes — is simply garbage: no coroutine
+// is parked inside it.
 func (t *ULT) release() {
 	if t.releases.Add(1) != releaseParties {
 		return
@@ -508,7 +468,7 @@ func (t *ULT) DoneChan() <-chan struct{} {
 
 // SetWaiter registers w in the unit's single-waiter park slot. It returns
 // true when the registration won the slot — w.Fn will then run exactly
-// once, on the finishing unit's goroutine — and false when completion was
+// once, on the finishing unit's coroutine — and false when completion was
 // already published or another waiter holds the slot (callers fall back
 // to a polling join). After a successful SetWaiter the joiner must park
 // (Suspend), unconditionally: the waiter's wake spin-waits for it.
@@ -518,9 +478,10 @@ func (t *ULT) SetWaiter(w *DoneWaiter) bool {
 
 // ResumeAndRequeue is the wake half of the parking join: it transitions a
 // joiner that parked (or is about to park) via Suspend back to Ready —
-// spinning out the tiny window between the joiner's SetWaiter and the
-// Blocked store inside its Suspend — and then hands it to requeue for
-// pool reinsertion. Intended to be called from a DoneWaiter.Fn.
+// spinning out the window between the joiner's SetWaiter and the Blocked
+// store its executor makes once the joiner has switched out — and then
+// hands it to requeue for pool reinsertion. Intended to be called from a
+// DoneWaiter.Fn.
 func ResumeAndRequeue(j *ULT, requeue func(*ULT)) {
 	for !j.Resume() {
 		if j.Done() {
@@ -593,8 +554,8 @@ func (t *ULT) Freed() bool { return t.freed.Load() }
 // cost to this extra bookkeeping, so emulations call it explicitly.
 // Freeing a unit twice or freeing an unfinished unit is an error.
 //
-// Free returns the descriptor to the reuse pool (once the backing
-// goroutine's terminal hand-back has also completed). The caller must
+// Free returns the descriptor to the reuse pool (once the executor has
+// also retired the incarnation after its terminal switch). The caller must
 // not touch the ULT — not even Status or DoneChan — after Free returns:
 // the descriptor may already be serving a new work unit.
 func (t *ULT) Free() error {
@@ -608,8 +569,11 @@ func (t *ULT) Free() error {
 	return nil
 }
 
-// markReady transitions the unit to Ready. Valid from Created (first
-// scheduling), Running (self-yield) and Blocked (resume).
+// markReady transitions a freshly created unit to Ready. Yields and
+// resumes never go through it: the executor publishes Ready after the
+// yielding unit has switched out, and Resume is a CAS from Blocked, so a
+// requeue must not store the status again (a stale pool entry may
+// already have claimed the unit).
 func (t *ULT) markReady() { t.status.Store(int32(StatusReady)) }
 
 // claim atomically takes a Ready unit for execution. It is the only
@@ -623,15 +587,13 @@ func (t *ULT) claim() bool {
 // the Ready state. The executor decides where the ULT goes next (usually
 // back into a pool). Must be called from inside the ULT body.
 //
-// The owner is captured before the status store: the moment the unit is
-// Ready (or Blocked) a third party may claim/resume it and overwrite
-// owner, and the hand-off must go to the executor that dispatched us.
+// Yield does not store Ready itself: the executor publishes it once the
+// switch is complete (settle). A unit that is Ready while still on its
+// coroutine could be claimed through a stale pool entry and resumed by a
+// second executor before it had switched out.
 func (t *ULT) Yield() {
-	owner := t.owner
 	t.unpooled = false // the requeue that follows is a pool insertion
-	t.status.Store(int32(StatusReady))
-	owner.handback <- handoff{t: t, st: StatusReady}
-	<-t.resume
+	t.switchOut(StatusReady)
 }
 
 // YieldTo yields and asks the executor to dispatch target next, bypassing
@@ -639,21 +601,18 @@ func (t *ULT) Yield() {
 // target cannot be claimed (already running or done) the hint is dropped
 // and the executor falls back to its scheduler.
 func (t *ULT) YieldTo(target *ULT) {
-	owner := t.owner
-	owner.setHint(target)
+	t.owner.setHint(target)
 	t.Yield()
 }
 
 // Suspend blocks the ULT: it returns control to the executor without
 // becoming Ready. Another thread of control must call Resume (and
 // re-enqueue the ULT) before it can run again. Must be called from inside
-// the ULT body.
+// the ULT body. As with Yield, the executor stores Blocked only after the
+// switch, so Resume cannot succeed before the unit is off its coroutine.
 func (t *ULT) Suspend() {
-	owner := t.owner
 	t.unpooled = false // the eventual requeue is a pool insertion
-	t.status.Store(int32(StatusBlocked))
-	owner.handback <- handoff{t: t, st: StatusBlocked}
-	<-t.resume
+	t.switchOut(StatusBlocked)
 }
 
 // Resume transitions a Blocked ULT back to Ready so it can be re-enqueued.
