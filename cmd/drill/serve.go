@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/smoke"
@@ -48,7 +49,17 @@ func serveDrill(d *smoke.Drill) string {
 		"-shards", "4", "-threads", "1", "-queue", "2", "-inflight", "1", "-steal", "-trace-dir", d.LogDir)
 	base := "http://" + srv.Addr
 	d.WaitReady(serveClient, base, serveBootWithin-time.Since(t0))
-	get := func(path string, out any) smoke.Reply { return smoke.Get(serveClient, base+path, out) }
+	// served counts the 200 replies to compute requests: the drill is
+	// the daemon's only client, so the servers' summed Completed must
+	// match it once they are idle.
+	var served atomic.Uint64
+	get := func(path string, out any) smoke.Reply {
+		r := smoke.Get(serveClient, base+path, out)
+		if r.Status == http.StatusOK && isCompute(path) {
+			served.Add(1)
+		}
+		return r
+	}
 	metrics := func() string { return string(get("/metrics", nil).Body) }
 	// burst makes n GETs of path, width at a time, and counts the
 	// statuses they return.
@@ -78,7 +89,7 @@ func serveDrill(d *smoke.Drill) string {
 	backends := checkBackends(d, get, []backendCheck{
 		{"/fib?n=22&wait=1&backend=%s", "value 17711", func(v float64, _ string) bool { return v == 17711 }},
 		{"/dgemm?n=64&wait=1&backend=%s", "value > 0", func(v float64, _ string) bool { return v > 0 }},
-		{"/parfor?n=65536&backend=%s", "value > 0", func(v float64, _ string) bool { return v > 0 }},
+		{"/parfor?n=65536&wait=1&backend=%s", "value > 0", func(v float64, _ string) bool { return v > 0 }},
 		{"/fib?n=20&wait=1&backend=%[1]s&key=smoke-%[1]s", "value 6765", func(v float64, _ string) bool { return v == 6765 }},
 		{"/io?ms=10&wait=1&backend=%s", "value >= 10", func(v float64, _ string) bool { return v >= 10 }},
 		{"/fibio?n=18&fan=2&ms=5&wait=1&backend=%s", "value 2584", func(v float64, _ string) bool { return v == 2584 }},
@@ -207,20 +218,38 @@ func serveDrill(d *smoke.Drill) string {
 	if !smoke.Poll(5*time.Second, 100*time.Millisecond, idle) {
 		d.Failf("not idle within 5 s: %+v", rows)
 	}
-	var accepted uint64
+	var accepted, completed uint64
 	for _, row := range rows {
 		a := row.Aggregate
 		accepted += a.Submitted
+		completed += a.Completed
 		if a.Submitted != a.Completed+a.Rejected+a.Expired {
 			d.Failf("drain identity on %s: Submitted %d != Completed %d + Rejected %d + Expired %d",
 				a.Backend, a.Submitted, a.Completed, a.Rejected, a.Expired)
 		}
 	}
+	// ---- Every compute reply is a served request: no endpoint answers
+	// 200 outside the servers' accounting.
+	log.Printf("completed %d, 200 compute replies %d", completed, served.Load())
+	if completed != served.Load() {
+		d.Failf("servers completed %d requests, drill received %d compute 200s", completed, served.Load())
+	}
 
 	// ---- SIGTERM drains cleanly.
 	d.Drain(serveDrainWithin, srv)
-	return fmt.Sprintf("%d backends, %d requests accepted, %v steals, drain identity held, idle and drained cleanly",
-		len(backends), accepted, steals)
+	return fmt.Sprintf("%d backends, %d requests accepted, %d completed = 200 replies, %v steals, drain identity held, idle and drained cleanly",
+		len(backends), accepted, completed, steals)
+}
+
+// isCompute reports whether a drill path is one of lwtserved's compute
+// endpoints.
+func isCompute(path string) bool {
+	for _, p := range []string{"/fib?", "/dgemm?", "/parfor?", "/io?", "/fibio?"} {
+		if strings.HasPrefix(path, p) {
+			return true
+		}
+	}
+	return false
 }
 
 // checkTrace reads /debug/trace as JSON, breakdown and chrome trace,

@@ -2,14 +2,15 @@
 // answers compute requests by submitting work into LWT backends through
 // the serve layer's shard pool. Every registered backend serves
 // concurrently; the ?backend= query parameter selects which runtime
-// executes a request, -shards runs that many independent runtimes per
-// backend, and -router picks how unkeyed requests spread across them.
+// executes a request, and -shards runs that many independent runtimes
+// per backend (power-of-two choices spreads unkeyed requests across
+// them). Every compute endpoint is a request served through that pool.
 //
 // Endpoints:
 //
 //	/fib?n=28&cutoff=12&backend=argobots   recursive task parallelism (ULT per branch)
 //	/dgemm?n=96&chunks=4&backend=qthreads  BLAS-3 GEMM decomposed across ULTs
-//	/parfor?n=1048576&backend=go           parallel for over a vector via the omp layer
+//	/parfor?n=1048576&chunks=4&backend=go  parallel for over a vector: index ranges as ULTs
 //	/io?ms=10&backend=go                   simulated I/O: the handler parks on the
 //	                                       async-I/O reactor for ms milliseconds, holding
 //	                                       no executor while it waits
@@ -38,7 +39,6 @@
 //
 //	-shards N          backend runtime shards per backend, fixed at startup
 //	                   (0: one per CPU)
-//	-router NAME       unkeyed routing policy: p2c (default), roundrobin, random
 //	-drain D           graceful-drain budget at shutdown (0: unbounded)
 //	-threads N         executors per shard
 //	-queue N           submission queue depth per shard
@@ -97,7 +97,6 @@ import (
 	"repro/internal/prom"
 	"repro/internal/serve"
 	"repro/internal/trace"
-	"repro/omp"
 )
 
 var (
@@ -105,7 +104,6 @@ var (
 	threads   = flag.Int("threads", 4, "executors per backend runtime shard")
 	scheduler = flag.String("scheduler", "", "ready-pool policy per backend (fifo|lifo|priority|random; empty: backend default)")
 	shards    = flag.Int("shards", 0, "backend runtime shards per backend (0: one per CPU)")
-	router    = flag.String("router", "p2c", "unkeyed shard routing policy (p2c|roundrobin|random)")
 	queue     = flag.Int("queue", 1024, "submission queue depth per shard")
 	inflight  = flag.Int("inflight", 0, "max in-flight work units per shard (0: queue depth)")
 	drain     = flag.Duration("drain", 30*time.Second, "graceful-drain budget at shutdown (0: unbounded)")
@@ -139,12 +137,10 @@ func dumpTrace(reason string) {
 	log.Printf("lwtserved: trace dump (%s): %d events -> %s", reason, len(d.Events), name)
 }
 
-// registry lazily creates one serving engine and one omp worker per
-// backend, on first use.
+// registry lazily creates one serving engine per backend, on first use.
 type registry struct {
 	mu      sync.Mutex
 	servers map[string]*lwt.Server
-	omps    map[string]*ompWorker
 }
 
 func (g *registry) server(backend string) (*lwt.Server, error) {
@@ -153,16 +149,9 @@ func (g *registry) server(backend string) (*lwt.Server, error) {
 	if s, ok := g.servers[backend]; ok {
 		return s, nil
 	}
-	// Each server gets its own router instance so round-robin cursors
-	// and the like are never shared across backends.
-	rt, err := lwt.RouterByName(*router)
-	if err != nil {
-		return nil, err
-	}
 	s, err := lwt.NewServer(lwt.ServeOptions{
 		Backend: backend, Threads: *threads, Scheduler: *scheduler,
-		Shards: *shards, Router: rt,
-		QueueDepth: *queue, MaxInFlight: *inflight,
+		Shards: *shards, QueueDepth: *queue, MaxInFlight: *inflight,
 		DrainTimeout: *drain,
 		Steal:        *steal,
 		// Anomaly-triggered flight-recorder dump: the watchdog fires
@@ -180,75 +169,12 @@ func (g *registry) server(backend string) (*lwt.Server, error) {
 	return s, nil
 }
 
-func (g *registry) omp(backend string) (*ompWorker, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if w, ok := g.omps[backend]; ok {
-		return w, nil
-	}
-	w, err := newOmpWorker(backend, *threads)
-	if err != nil {
-		return nil, err
-	}
-	g.omps[backend] = w
-	return w, nil
-}
-
 func (g *registry) closeAll() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, s := range g.servers {
 		s.Close()
 	}
-	for _, w := range g.omps {
-		w.close()
-	}
-}
-
-// ompWorker confines one omp.Runtime to a dedicated master goroutine:
-// the directive layer (like the C libraries it models) is driven from
-// the thread that initialized it, so HTTP handlers hand their loops to
-// the worker instead of calling the runtime directly.
-type ompWorker struct {
-	jobs chan func(*omp.Runtime)
-	done chan struct{}
-}
-
-func newOmpWorker(backend string, threads int) (*ompWorker, error) {
-	w := &ompWorker{jobs: make(chan func(*omp.Runtime), 64), done: make(chan struct{})}
-	ready := make(chan error)
-	go func() {
-		rt, err := omp.Open(omp.Config{Backend: backend, Executors: threads, Scheduler: *scheduler})
-		ready <- err
-		if err != nil {
-			close(w.done)
-			return
-		}
-		defer close(w.done)
-		defer rt.Close()
-		for job := range w.jobs {
-			job(rt)
-		}
-	}()
-	if err := <-ready; err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// run executes job on the worker's master goroutine and waits for it.
-func (w *ompWorker) run(job func(*omp.Runtime)) {
-	wait := make(chan struct{})
-	w.jobs <- func(rt *omp.Runtime) {
-		defer close(wait)
-		job(rt)
-	}
-	<-wait
-}
-
-func (w *ompWorker) close() {
-	close(w.jobs)
-	<-w.done
 }
 
 // qint parses an integer query parameter with a default and bounds.
@@ -396,15 +322,26 @@ func fib(c lwt.Ctx, n, cutoff int) uint64 {
 	return left + right
 }
 
-func main() {
-	flag.Parse()
-	if _, err := lwt.RouterByName(*router); err != nil {
-		log.Fatalf("lwtserved: %v", err)
+// forkJoin splits [0, n) into chunks contiguous ranges, runs body on
+// each non-empty one in its own ULT, and joins them all: the shape
+// /dgemm and /parfor share.
+func forkJoin(c lwt.Ctx, n, chunks int, body func(lo, hi int)) {
+	hs := make([]lwt.Handle, 0, chunks)
+	for k := 0; k < chunks; k++ {
+		lo, hi := k*n/chunks, (k+1)*n/chunks
+		if lo == hi {
+			continue
+		}
+		hs = append(hs, c.ULTCreate(func(lwt.Ctx) { body(lo, hi) }))
 	}
-	g := &registry{servers: map[string]*lwt.Server{}, omps: map[string]*ompWorker{}}
+	for _, h := range hs {
+		c.Join(h)
+	}
+}
 
-	mux := http.NewServeMux()
-
+// mountCompute registers the compute endpoints. Each one is a
+// ULT-shaped request served through its backend's shard pool.
+func mountCompute(mux *http.ServeMux, g *registry) {
 	// Task parallelism: a ULT tree on the serving runtime.
 	mux.HandleFunc("/fib", handle(g, func(r *http.Request, sub *lwt.Submitter, n int) (*lwt.Future[float64], error) {
 		cutoff := qint(r, "cutoff", 12, 2, 64)
@@ -430,19 +367,7 @@ func main() {
 				a[i] = float64(i%7) * 0.5
 				b[i] = float64(i%5) * 0.25
 			}
-			hs := make([]lwt.Handle, 0, chunks)
-			for k := 0; k < chunks; k++ {
-				lo, hi := k*n/chunks, (k+1)*n/chunks
-				if lo == hi {
-					continue
-				}
-				hs = append(hs, c.ULTCreate(func(lwt.Ctx) {
-					blas.DgemmRows(n, a, b, cm, lo, hi)
-				}))
-			}
-			for _, h := range hs {
-				c.Join(h)
-			}
+			forkJoin(c, n, chunks, func(lo, hi int) { blas.DgemmRows(n, a, b, cm, lo, hi) })
 			var sum float64
 			for _, x := range cm {
 				sum += x
@@ -499,28 +424,32 @@ func main() {
 		return submitULT(r, sub, body)
 	}, 24, 45))
 
-	// Loop parallelism through the omp directive layer, on its own
-	// master goroutine per backend.
-	mux.HandleFunc("/parfor", func(w http.ResponseWriter, r *http.Request) {
-		backend, err := backendOf(r)
-		if err != nil {
-			reply(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
+	// Loop parallelism: v[i] *= 1.5 over [0, n), split into ?chunks=
+	// index ranges, one ULT each — the fork-join a parallel-for
+	// directive lowers to, served like every other request.
+	mux.HandleFunc("/parfor", handle(g, func(r *http.Request, sub *lwt.Submitter, n int) (*lwt.Future[float64], error) {
+		chunks := qint(r, "chunks", *threads, 1, 64)
+		body := func(c lwt.Ctx) (float64, error) {
+			v := make([]float32, n)
+			blas.Fill(v, 2)
+			forkJoin(c, n, chunks, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					v[i] *= 1.5
+				}
+			})
+			return float64(blas.Sasum(v)), nil
 		}
-		worker, err := g.omp(backend)
-		if err != nil {
-			reply(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-			return
-		}
-		n := qint(r, "n", 1<<20, 1, 1<<24)
-		t0 := time.Now()
-		v := make([]float32, n)
-		blas.Fill(v, 2)
-		worker.run(func(rt *omp.Runtime) {
-			rt.ParallelFor(n, omp.Static, 0, func(i int) { v[i] *= 1.5 })
-		})
-		reply(w, http.StatusOK, result{Backend: backend, N: n, Value: float64(blas.Sasum(v)), Micros: time.Since(t0).Microseconds()})
-	})
+		return submitULT(r, sub, body)
+	}, 1<<20, 1<<24))
+}
+
+func main() {
+	flag.Parse()
+	g := &registry{servers: map[string]*lwt.Server{}}
+
+	mux := http.NewServeMux()
+
+	mountCompute(mux, g)
 
 	// backendMetrics is one backend's /metrics row: the cross-shard
 	// aggregate plus one row per shard.
@@ -636,8 +565,7 @@ func main() {
 		defer cancel()
 		_ = hs.Shutdown(ctx)
 	}()
-	log.Printf("lwtserved: listening on %s (shards=%d router=%s backends=%v)",
-		ln.Addr(), *shards, *router, lwt.Backends())
+	log.Printf("lwtserved: listening on %s (shards=%d backends=%v)", ln.Addr(), *shards, lwt.Backends())
 	if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}

@@ -31,8 +31,13 @@ import (
 
 // Runtime is an initialized Go-model instance.
 type Runtime struct {
-	threads  []*thread
-	shared   *queue.Shared
+	threads []*thread
+	// shared is the single global queue of the paper's Go-scheduler
+	// model (§VI, Figure 2): every thread pushes to and pops from it.
+	// It is the lock-free FIFO, so the contention the paper predicts
+	// shows as CAS failures on its head (Stats().Contended), growing
+	// with the number of threads.
+	shared   *queue.FIFO
 	idle     ult.Idler   // the global queue's wake domain
 	done     chan uint64 // out-of-order completion channel
 	wg       sync.WaitGroup
@@ -134,7 +139,7 @@ func Init(nthreads int) *Runtime {
 		panic(fmt.Sprintf("gothreads: nthreads = %d, need >= 1", nthreads))
 	}
 	rt := &Runtime{
-		shared: queue.NewShared(256),
+		shared: queue.NewFIFO(256),
 		done:   make(chan uint64, 1024),
 	}
 	for i := 0; i < nthreads; i++ {

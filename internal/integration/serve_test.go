@@ -116,6 +116,14 @@ func quiesce(t *testing.T, s *serve.Server) {
 	}
 }
 
+// rotatingRouter deals unkeyed submissions to shards in strict
+// rotation, so unkeyed traffic deterministically reaches every shard.
+type rotatingRouter struct{ next atomic.Uint64 }
+
+func (r *rotatingRouter) Pick(n int, _ func(int) int) int {
+	return int((r.next.Add(1) - 1) % uint64(n))
+}
+
 // TestServeShardedEveryBackend runs the shard pool on every registered
 // backend: four independent runtimes behind one server, round-robin
 // routed unkeyed traffic (deterministically hitting every shard), keyed
@@ -128,7 +136,7 @@ func TestServeShardedEveryBackend(t *testing.T) {
 		t.Run(backend, func(t *testing.T) {
 			s, err := serve.New(serve.Options{
 				Backend: backend, Threads: 1, Shards: shards,
-				Router: &serve.RoundRobin{}, QueueDepth: 64,
+				Router: &rotatingRouter{}, QueueDepth: 64,
 			})
 			if err != nil {
 				t.Fatal(err)

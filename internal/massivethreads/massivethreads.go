@@ -65,7 +65,7 @@ type Runtime struct {
 	// a foreign goroutine cannot push into them; the MPMC injection queue
 	// is the one container every worker may push to and polls between its
 	// own deque and stealing.
-	inject *queue.Shared
+	inject *queue.FIFO
 	// idle is the one wake domain of the runtime: with stealing, a push
 	// into any deque (or inject) can feed any worker.
 	idle     ult.Idler
@@ -159,7 +159,7 @@ func Init(nworkers int, policy Policy) *Runtime {
 	if nworkers < 1 {
 		panic(fmt.Sprintf("massivethreads: nworkers = %d, need >= 1", nworkers))
 	}
-	rt := &Runtime{policy: policy, inject: queue.NewShared(64)}
+	rt := &Runtime{policy: policy, inject: queue.NewFIFO(64)}
 	rt.workers = make([]*Worker, nworkers)
 	for i := range rt.workers {
 		rt.workers[i] = &Worker{

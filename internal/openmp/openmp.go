@@ -169,9 +169,11 @@ type team struct {
 	rt   *Runtime
 	size int
 
-	// shared is the gcc task queue (lock-free MPMC; the gcc model's
-	// single-queue contention shows up as CAS failures on its head).
-	shared *queue.Shared
+	// shared is the gcc task queue: the single global queue of the
+	// paper's gcc-OpenMP model (§VI), which every team member pushes
+	// to and pops from. It is the lock-free FIFO, so that single-queue
+	// contention shows up as CAS failures on its head.
+	shared *queue.FIFO
 	// deques are the icc per-thread task deques. They stay on the mutex
 	// deque rather than the lock-free Chase–Lev one: a nested task body
 	// captures its creator's TeamCtx, so when a stolen parent spawns
@@ -248,7 +250,7 @@ func (rt *Runtime) parallel(body func(*TeamCtx), nested bool, mark func(int)) {
 		tm.execs[i] = ult.NewExecutor(i)
 	}
 	if rt.cfg.Flavor == GCC {
-		tm.shared = queue.NewShared(256)
+		tm.shared = queue.NewFIFO(256)
 		if rt.cfg.WaitPolicy == Active {
 			tm.spin = barrier.NewSpin(n)
 		} else {

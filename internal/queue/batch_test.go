@@ -210,17 +210,6 @@ func TestMutexDequePushBottomBatch(t *testing.T) {
 	}
 }
 
-func TestSharedPushBatch(t *testing.T) {
-	s := NewShared(8)
-	us := mkUnits(10)
-	s.PushBatch(us)
-	for i, want := range us {
-		if got := s.Pop(); got != want {
-			t.Fatalf("Pop out of order at %d", i)
-		}
-	}
-}
-
 // BenchmarkQueueBatchOps quantifies what the multi-ticket reservation and
 // the single bottom publication buy over per-unit pushes — the submission
 // cost the bulk-create API amortizes for the loop and task figures.

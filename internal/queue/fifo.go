@@ -37,7 +37,8 @@ type fifoSeg struct {
 
 // FIFO is a lock-free, unbounded, multi-producer multi-consumer
 // first-in first-out work-unit queue — the container behind the private
-// per-thread pools and, via Shared, the global-queue backends.
+// per-thread pools and the global shared queues of the Go-scheduler and
+// gcc-OpenMP models.
 //
 // Producers claim a position with one fetch-add and publish into the
 // owning segment's cell; consumers claim the head position with a CAS.

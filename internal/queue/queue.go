@@ -346,39 +346,3 @@ func (d *MutexDeque) Len() int {
 
 // Stats exposes the deque's counters.
 func (d *MutexDeque) Stats() *Stats { return &d.stats }
-
-// Shared is the single global MPMC queue of the paper's Go-scheduler and
-// gcc-OpenMP models (§VI, Figure 2): every producer and consumer targets
-// the same queue. It is now backed by the lock-free FIFO, so the queue no
-// longer serializes every operation on one mutex; the contention the
-// paper predicts is still visible as the CAS-failure count in
-// Stats().Contended, which grows with the number of threads hammering the
-// shared head.
-//
-// The zero value is an empty, usable queue.
-type Shared struct {
-	fifo FIFO
-}
-
-// NewShared returns an empty shared queue sized for about n in-flight
-// units.
-func NewShared(n int) *Shared {
-	s := &Shared{}
-	s.fifo.reserve()
-	return s
-}
-
-// Push appends a unit.
-func (s *Shared) Push(u ult.Unit) { s.fifo.Push(u) }
-
-// PushBatch appends every unit in us with one multi-ticket reservation.
-func (s *Shared) PushBatch(us []ult.Unit) { s.fifo.PushBatch(us) }
-
-// Pop removes the oldest unit, or nil.
-func (s *Shared) Pop() ult.Unit { return s.fifo.Pop() }
-
-// Len reports the number of queued units.
-func (s *Shared) Len() int { return s.fifo.Len() }
-
-// Stats exposes the queue's counters.
-func (s *Shared) Stats() *Stats { return s.fifo.Stats() }

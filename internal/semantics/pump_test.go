@@ -15,7 +15,6 @@ import (
 // pile a backlog onto it.
 type fixedRouter int
 
-func (r fixedRouter) Name() string                { return "fixed" }
 func (r fixedRouter) Pick(int, func(int) int) int { return int(r) }
 
 // settle waits until the server's pumps have parked and stay parked: the

@@ -8,15 +8,16 @@
 //
 // The engine is a pool of shards. Each shard is an independent backend
 // runtime behind its own bounded multi-producer queues and pump
-// goroutine (the backend's main thread); a pluggable Router spreads
-// unkeyed submissions across shards, and keyed submissions pin to one
+// goroutine (the backend's main thread); power-of-two choices on shard
+// depth spreads unkeyed submissions across shards (Options.Router
+// replaces it only as a test seam), and keyed submissions pin to one
 // shard by hash so backend-local state stays warm. All submissions
 // enter through Do (tasklet bodies) and DoULT (stackful bodies), with
 // the per-request options — affinity key, deadline, non-blocking
 // admission — carried in a Req:
 //
 //	producers (any goroutine)
-//	  Do / DoULT          ──Router──▶ shard 0: queues ──▶ pump ──▶ runtime 0
+//	  Do / DoULT          ───P2C────▶ shard 0: queues ──▶ pump ──▶ runtime 0
 //	  Do{Req.Key}         ──FNV-1a──▶ shard 1: queues ──▶ pump ──▶ runtime 1
 //	        │                         …
 //	        ▼                         shard N-1: queues ─▶ pump ──▶ runtime N-1
@@ -164,6 +165,6 @@
 //     contexts.
 //   - drain.go: Close and the per-shard shutdown (sweep).
 //   - detector.go: the anomaly watchdog and its detector; router.go:
-//     routers and the key hash; future.go: Future; metrics.go and
+//     the P2C router and the key hash; future.go: Future; metrics.go and
 //     prom.go: Metrics and its Prometheus page.
 package serve

@@ -44,8 +44,6 @@ type Metrics struct {
 	// defaulting; the per-shard slice from ShardMetrics has one entry
 	// per shard.
 	Shards int
-	// Router is the name of the router spreading unkeyed submissions.
-	Router string
 	// Submitted counts requests accepted into the queue.
 	Submitted uint64
 	// Completed counts finished request bodies, including those that

@@ -30,7 +30,7 @@ func WriteProm(w io.Writer, views ...View) (int64, error) {
 	pw.Family("lwt_serve_info", "Serving pool identity; value is always 1.", prom.Gauge)
 	for _, v := range views {
 		pw.Sample("lwt_serve_info", 1,
-			"backend", v.Aggregate.Backend, "router", v.Aggregate.Router,
+			"backend", v.Aggregate.Backend,
 			"shards", strconv.Itoa(v.Aggregate.Shards))
 	}
 	pw.Family("lwt_serve_uptime_seconds", "Time since the server started.", prom.Gauge)

@@ -1,61 +1,31 @@
 package serve
 
-import (
-	"fmt"
-	"math/rand/v2"
-	"sync/atomic"
-)
+import "math/rand/v2"
 
 // Router picks the shard for one unkeyed submission. Implementations
 // must be safe for concurrent use from any number of producer
 // goroutines and must not block or take locks — Pick sits on the submit
-// fast path of every request.
+// fast path of every request. The server's router is power-of-two
+// choices; Options.Router replaces it only so a test can pin shards.
 //
 // Pick receives the shard count and a load probe: load(i) is shard i's
 // current depth (queued + in-flight requests), read from atomic
 // counters. The returned index must be in [0, n).
 type Router interface {
-	// Name reports the router's registered name (the value accepted by
-	// RouterByName and lwtserved's -router flag).
-	Name() string
 	// Pick selects a shard index in [0, n) for one submission.
 	Pick(n int, load func(int) int) int
 }
 
-// RouterByName returns a fresh router for a registered name:
-//
-//	"p2c" (or "")   power-of-two-choices on shard depth — the default
-//	"roundrobin"    strict rotation, load-blind ("round-robin" and "rr"
-//	                are accepted aliases)
-//	"random"        uniform random shard
-//
-// Each call returns a new instance, so two servers never share router
-// state (a round-robin cursor, for example).
-func RouterByName(name string) (Router, error) {
-	switch name {
-	case "", "p2c":
-		return P2C{}, nil
-	case "roundrobin", "round-robin", "rr":
-		return &RoundRobin{}, nil
-	case "random":
-		return Random{}, nil
-	}
-	return nil, fmt.Errorf("serve: unknown router %q (have p2c, roundrobin, random)", name)
-}
-
-// P2C is power-of-two-choices routing: sample two shards uniformly at
+// p2c is power-of-two-choices routing: sample two shards uniformly at
 // random and pick the one with the smaller depth. The classic result is
 // that this one extra probe drops the expected maximum load from
 // Θ(log n / log log n) to Θ(log log n) versus purely random placement,
 // at the cost of two atomic loads — no global scan, no shared state,
 // no locks.
-type P2C struct{}
-
-// Name implements Router.
-func (P2C) Name() string { return "p2c" }
+type p2c struct{}
 
 // Pick implements Router: the less-loaded of two random shards.
-func (P2C) Pick(n int, load func(int) int) int {
+func (p2c) Pick(n int, load func(int) int) int {
 	if n < 2 {
 		return 0
 	}
@@ -64,36 +34,6 @@ func (P2C) Pick(n int, load func(int) int) int {
 		return b
 	}
 	return a
-}
-
-// RoundRobin rotates submissions across shards in strict order,
-// ignoring load — the right choice when request costs are uniform and
-// the even spread matters more than queue-depth feedback.
-type RoundRobin struct {
-	next atomic.Uint64
-}
-
-// Name implements Router.
-func (*RoundRobin) Name() string { return "roundrobin" }
-
-// Pick implements Router: one fetch-add, modulo the shard count.
-func (r *RoundRobin) Pick(n int, _ func(int) int) int {
-	return int((r.next.Add(1) - 1) % uint64(n))
-}
-
-// Random places each submission on a uniformly random shard — the
-// load-blind baseline P2C is measured against.
-type Random struct{}
-
-// Name implements Router.
-func (Random) Name() string { return "random" }
-
-// Pick implements Router.
-func (Random) Pick(n int, _ func(int) int) int {
-	if n < 2 {
-		return 0
-	}
-	return rand.IntN(n)
 }
 
 // fnv1aOffset and fnv1aPrime are the 64-bit FNV-1a parameters.

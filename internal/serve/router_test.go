@@ -5,40 +5,6 @@ import (
 	"testing"
 )
 
-func TestRouterByName(t *testing.T) {
-	for _, tc := range []struct {
-		arg, want string
-	}{
-		{"", "p2c"},
-		{"p2c", "p2c"},
-		{"roundrobin", "roundrobin"},
-		{"round-robin", "roundrobin"},
-		{"rr", "roundrobin"},
-		{"random", "random"},
-	} {
-		r, err := RouterByName(tc.arg)
-		if err != nil {
-			t.Fatalf("RouterByName(%q): %v", tc.arg, err)
-		}
-		if r.Name() != tc.want {
-			t.Fatalf("RouterByName(%q).Name() = %q, want %q", tc.arg, r.Name(), tc.want)
-		}
-	}
-	if _, err := RouterByName("no-such-router"); err == nil {
-		t.Fatal("unknown router name accepted")
-	}
-	// Each call returns fresh state: two round-robins must not share a
-	// cursor.
-	a, _ := RouterByName("rr")
-	b, _ := RouterByName("rr")
-	if a == b {
-		t.Fatal("RouterByName returned a shared round-robin instance")
-	}
-	if got := a.Pick(4, nil); got != b.Pick(4, nil) {
-		t.Fatalf("fresh round-robins disagree on first pick: %d", got)
-	}
-}
-
 // TestP2CPicksEmptierUnderSkew is the power-of-two-choices property:
 // with one shard heavily loaded, the emptier shard must win whenever it
 // is sampled — 3 of the 4 equally likely pairs for two shards, so well
@@ -50,7 +16,7 @@ func TestP2CPicksEmptierUnderSkew(t *testing.T) {
 		}
 		return 0
 	}
-	var r P2C
+	var r p2c
 	const trials = 4000
 	empty := 0
 	for i := 0; i < trials; i++ {
@@ -67,35 +33,6 @@ func TestP2CPicksEmptierUnderSkew(t *testing.T) {
 		t.Fatalf("p2c picked the empty shard only %d/%d times", empty, trials)
 	}
 	if got := r.Pick(1, load); got != 0 {
-		t.Fatalf("Pick(1) = %d, want 0", got)
-	}
-}
-
-func TestRoundRobinRotates(t *testing.T) {
-	var r RoundRobin
-	for round := 0; round < 3; round++ {
-		for want := 0; want < 4; want++ {
-			if got := r.Pick(4, nil); got != want {
-				t.Fatalf("round %d: Pick = %d, want %d", round, got, want)
-			}
-		}
-	}
-}
-
-func TestRandomStaysInRange(t *testing.T) {
-	var r Random
-	seen := make(map[int]bool)
-	for i := 0; i < 2000; i++ {
-		p := r.Pick(4, nil)
-		if p < 0 || p >= 4 {
-			t.Fatalf("Pick out of range: %d", p)
-		}
-		seen[p] = true
-	}
-	if len(seen) < 2 {
-		t.Fatalf("random router hit only %d of 4 shards in 2000 picks", len(seen))
-	}
-	if got := r.Pick(1, nil); got != 0 {
 		t.Fatalf("Pick(1) = %d, want 0", got)
 	}
 }

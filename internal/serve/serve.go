@@ -66,8 +66,9 @@ type Options struct {
 	// pool is fixed for the server's lifetime: keyed submissions hash
 	// over it, and unkeyed ones are routed and stolen across it.
 	Shards int
-	// Router spreads unkeyed submissions across shards; nil means
-	// power-of-two-choices on shard depth (P2C). See RouterByName.
+	// Router replaces the power-of-two-choices spread of unkeyed
+	// submissions; nil (the only production setting) keeps it. Tests
+	// set it to pin or rotate shards deterministically.
 	Router Router
 	// QueueDepth bounds each shard's submission queue; <= 0 means
 	// DefaultQueueDepth. With every candidate shard's queue full,
@@ -180,7 +181,7 @@ func New(opts Options) (*Server, error) {
 	}
 	router := opts.Router
 	if router == nil {
-		router = P2C{}
+		router = p2c{}
 	}
 	s := &Server{
 		opts:   opts,
@@ -245,9 +246,6 @@ func (s *Server) Backend() string { return s.opts.Backend }
 // NumShards reports the shard count, Options.Shards after defaulting.
 func (s *Server) NumShards() int { return len(s.all) }
 
-// Router reports the router spreading unkeyed submissions.
-func (s *Server) Router() Router { return s.router }
-
 // ShardOf reports the shard index keyed submissions with this affinity
 // key pin to — stable for the server's whole lifetime.
 func (s *Server) ShardOf(key string) int { return keyShard(key, len(s.all)) }
@@ -268,7 +266,6 @@ func (s *Server) Snapshot() (Metrics, []Metrics) {
 		Backend: s.opts.Backend,
 		Shard:   -1,
 		Shards:  shards,
-		Router:  s.router.Name(),
 		Uptime:  up,
 	}
 	per := make([]Metrics, len(s.all))
@@ -277,7 +274,6 @@ func (s *Server) Snapshot() (Metrics, []Metrics) {
 			Backend:    s.opts.Backend,
 			Shard:      sh.id,
 			Shards:     shards,
-			Router:     s.router.Name(),
 			Submitted:  sh.m.submitted.Load(),
 			Completed:  sh.m.completed.Load(),
 			Saturated:  sh.m.saturated.Load(),

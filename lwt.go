@@ -64,9 +64,9 @@
 // sharded task-submission engine that lets arbitrary goroutines inject
 // work into any backend. ServeOptions.Shards independent backend
 // runtimes sit behind one Server, each with its own bounded queue and
-// pump goroutine; a pluggable Router (power-of-two-choices by default,
-// see RouterByName) spreads unkeyed submissions, Req.Key pins a
-// session's requests to one shard by key hash, admission control is
+// pump goroutine; power-of-two choices on shard depth spreads unkeyed
+// submissions, Req.Key pins a session's requests to one shard by key
+// hash, admission control is
 // two-level (a full shard re-routes once before ErrSaturated
 // surfaces), and Close drains gracefully — every accepted Future
 // resolves. The shard set is fixed at NewServer; within it, idle shards
@@ -221,12 +221,13 @@ func WriteIO(c Ctx, w io.Writer, buf []byte) (int, error) { return core.WriteIO(
 type Server = serve.Server
 
 // ServeOptions configures a Server (backend, executors per shard,
-// scheduler policy, shard count, router, queue depth, in-flight cap,
-// drain timeout, tracer, work stealing).
+// scheduler policy, shard count, queue depth, in-flight cap, drain
+// timeout, tracer, work stealing, and the Router test seam).
 type ServeOptions = serve.Options
 
-// Router picks the shard for each unkeyed submission; see RouterByName
-// for the built-in policies.
+// Router picks the shard for each unkeyed submission. A Server routes
+// by power-of-two choices; ServeOptions.Router replaces that only so a
+// test can pin or rotate shards deterministically.
 type Router = serve.Router
 
 // Submitter is the thread-safe, multi-producer injection front-end of a
@@ -287,7 +288,3 @@ func Do[T any](sub *Submitter, ctx context.Context, fn func() (T, error), req Re
 func DoULT[T any](sub *Submitter, ctx context.Context, fn func(Ctx) (T, error), req Req) (*Future[T], error) {
 	return serve.DoULT(sub, ctx, fn, req)
 }
-
-// RouterByName returns a fresh submission router: "p2c" (the default,
-// power-of-two-choices on shard depth), "roundrobin", or "random".
-func RouterByName(name string) (Router, error) { return serve.RouterByName(name) }

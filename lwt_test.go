@@ -151,14 +151,19 @@ func (b *fakeBackend) TaskletCreate(fn func()) lwt.Handle {
 	return &fakeHandle{done: true}
 }
 
+// rotatingRouter deals unkeyed submissions to shards in strict
+// rotation: a test-local lwt.Router for an exact spread.
+type rotatingRouter struct{ next atomic.Uint64 }
+
+func (r *rotatingRouter) Pick(n int, _ func(int) int) int {
+	return int((r.next.Add(1) - 1) % uint64(n))
+}
+
 // TestPublicShardedServing pins the root-package sharded serving
-// surface: ServeOptions shard fields, RouterByName, keyed submission
-// with stable affinity, and per-shard metrics.
+// surface: ServeOptions shard fields and the Router seam, keyed
+// submission with stable affinity, and per-shard metrics.
 func TestPublicShardedServing(t *testing.T) {
-	router, err := lwt.RouterByName("roundrobin")
-	if err != nil {
-		t.Fatal(err)
-	}
+	var router lwt.Router = &rotatingRouter{}
 	srv, err := lwt.NewServer(lwt.ServeOptions{
 		Backend: "go", Threads: 1, Shards: 2, Router: router, QueueDepth: 64,
 	})
