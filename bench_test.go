@@ -462,7 +462,7 @@ func BenchmarkULTCreateJoin(b *testing.B) {
 // every registered backend under open-loop load: a fixed producer group
 // submits all b.N requests without waiting for completions (arrival is
 // decoupled from service, as in real traffic), then awaits every Future.
-// The shards axis compares the single-pump engine against a 4-shard
+// The shards axis compares the single-shard engine against a 4-shard
 // pool at a constant total executor budget (GOMAXPROCS executors split
 // across shards), so the measured delta is the dispatcher bottleneck,
 // not added parallelism. Besides ns/op it reports requests/second and

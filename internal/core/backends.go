@@ -548,6 +548,18 @@ func (b *mtBackend) TaskletCreate(fn func()) Handle {
 	return b.ULTCreate(func(Ctx) { fn() })
 }
 
+// Spawn implements Spawner over the substrate's any-goroutine Spawn. A
+// tasklet-shaped w runs in a ULT too (Table I), with a nil context.
+func (b *mtBackend) Spawn(w Work, ult bool) {
+	b.rt.Spawn(func(c *massivethreads.Context) {
+		if ult {
+			w.Run(&mtCtx{b: b, c: c})
+		} else {
+			w.Run(nil)
+		}
+	})
+}
+
 // ULTCreateBulk implements BulkBackend: help-first batches the whole
 // creation into one deque publication; work-first stays sequential by
 // construction (the substrate falls back internally).
@@ -723,6 +735,22 @@ func (b *cvBackend) TaskletCreate(fn func()) Handle {
 		fn()
 	})
 	return h
+}
+
+// Spawn implements Spawner with the one insertion Converse allows from
+// outside a processor, a Message (CmiSyncSend), dealt round-robin like
+// TaskletCreate. A tasklet-shaped w runs in the Message itself; a
+// ULT-shaped one takes ULTCreateTo's remote-create path: the Message
+// performs the CthCreate on its processor, where the ULT then stays.
+func (b *cvBackend) Spawn(w Work, ult bool) {
+	proc := int(b.rrNext.Add(1)-1) % b.n
+	if !ult {
+		b.rt.SyncSend(proc, func(*converse.Proc) { w.Run(nil) })
+		return
+	}
+	b.rt.SyncSend(proc, func(p *converse.Proc) {
+		p.CthCreate(func(cc *converse.CthCtx) { w.Run(&cvCtx{b: b, c: cc}) })
+	})
 }
 
 // ULTCreateBulk implements BulkBackend: Converse ULT creation is local to

@@ -199,9 +199,11 @@ type Work interface {
 }
 
 // Spawner is the optional Backend extension behind Runtime.Spawn: a
-// native handle-free launch.
+// native handle-free launch, callable from any goroutine.
 type Spawner interface {
-	// Spawn launches w as a detached ULT (ult) or tasklet.
+	// Spawn launches w as a detached ULT (ult) or tasklet. It must be
+	// safe from any goroutine: the main thread, a running work unit of
+	// this runtime, or one foreign to it.
 	Spawn(w Work, ult bool)
 }
 
@@ -419,11 +421,16 @@ func (r *Runtime) TaskletCreate(fn func()) Handle { return r.b.TaskletCreate(fn)
 
 // Spawn is the detached launch: it creates w as a ULT (ult set) or a
 // tasklet and returns nothing — no handle is built, nobody joins the
-// unit, and the caller learns of completion through w itself. Backends
-// implementing Spawner launch natively (Argobots passes w to a recycled
-// descriptor as its argument: no closure, no handle, no descriptor left
-// waiting for a free); elsewhere Spawn falls back to ULTCreate or
-// TaskletCreate and drops the handle.
+// unit, and the caller learns of completion through w itself. Unlike
+// the Table II creation calls, Spawn may be called from any goroutine —
+// the main thread, a running unit, or one foreign to the runtime — as
+// ABT_pool_push and a qthread_fork from a non-qthread allow. Argobots
+// passes w to a recycled descriptor as its argument (no closure, no
+// handle); MassiveThreads enters through its injection queue (a foreign
+// caller has no ULT for work-first to switch from) and Converse through
+// a Message. Elsewhere Spawn falls back to ULTCreate or TaskletCreate
+// and drops the handle, so a backend without Spawner is safe from any
+// goroutine exactly when its creation calls are.
 func (r *Runtime) Spawn(w Work, ult bool) {
 	switch {
 	case r.sp != nil:
@@ -485,7 +492,8 @@ type MainParker interface {
 // Argobots and MassiveThreads suspend the adopted primary, freeing its
 // executor; Converse drives processor 0 until its queue is empty, then
 // sleeps. Go and Qthreads executors run on their own, so there park is a
-// plain channel wait.
+// plain channel wait. A main thread whose work is spawned from elsewhere
+// parks here for the runtime's lifetime, as serve's shard keepers do.
 // Backends without the MainParker extension fall back to a Yield poll.
 // Build one pair per main thread and call park only from that thread.
 func (r *Runtime) MainPark() (park, unpark func()) {

@@ -46,7 +46,7 @@ func TestSleepInULT(t *testing.T) {
 
 // TestSleepResumeNotStarvedByYieldSpin pins scheduling fairness for
 // resumed units: with a single executor and a main flow that yield-spins
-// waiting for the result (the serve pump's exact shape), the parked
+// waiting for the result (a polling master's exact shape), the parked
 // unit's resume must still get dispatched. A scheduler that only serves
 // externally-resumed work when its local queue is empty livelocks here —
 // the spinning main flow's continuation keeps the local queue non-empty

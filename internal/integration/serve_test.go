@@ -17,7 +17,7 @@ import (
 // the serving subsystem on every registered backend: concurrent
 // producers, tasklet- and ULT-shaped requests, value/error/panic
 // results. This is the end-to-end claim of the serving layer — the
-// reduced Table II function set plus the pump suffices to serve
+// reduced Table II function set plus an any-goroutine Spawn suffices to serve
 // arbitrary-goroutine traffic on every emulated runtime.
 func TestServeEveryBackend(t *testing.T) {
 	for _, backend := range lwt.Backends() {
@@ -368,7 +368,7 @@ func TestServeSaturationEveryBackend(t *testing.T) {
 				t.Fatalf("blocked Submit = %v, want DeadlineExceeded", err)
 			}
 			// A queued request whose context dies before launch resolves
-			// to its context error once the pump reaches it.
+			// to its context error once a freed slot reaches it.
 			qcancel()
 			close(release)
 			if _, werr := f.Wait(context.Background()); !errors.Is(werr, context.Canceled) {

@@ -60,11 +60,11 @@ type Runtime struct {
 	// pWaiter is the primary's reusable park-slot entry for main-thread
 	// joins (serial, so one instance suffices allocation-free).
 	pWaiter *ult.DoneWaiter
-	// inject receives units resumed from outside the runtime (the aio
-	// reactor). The Chase–Lev deques are owner-only at the bottom end, so
-	// a foreign goroutine cannot push into them; the MPMC injection queue
-	// is the one container every worker may push to and polls between its
-	// own deque and stealing.
+	// inject receives units made runnable from outside the runtime (aio
+	// resumes, Spawn). The Chase–Lev deques are owner-only at the bottom
+	// end, so a foreign goroutine cannot push into them; the MPMC
+	// injection queue is the one container every worker may push to and
+	// polls between its own deque and stealing.
 	inject *queue.FIFO
 	// idle is the one wake domain of the runtime: with stealing, a push
 	// into any deque (or inject) can feed any worker.
@@ -318,15 +318,26 @@ func (rt *Runtime) Yield() { rt.primary.Yield() }
 // primary is migratable, so it may have parked on any worker and may
 // resume on any other; nothing ties the main flow to worker 0.
 func (rt *Runtime) MainPark() (park, unpark func()) {
-	return ult.MainPark(rt.primary, rt.injectResumed)
+	return ult.MainPark(rt.primary, rt.injectUnit)
 }
 
-// injectResumed makes a resumed unit runnable from outside the runtime:
-// the MPMC injection queue is the one container a foreign goroutine may
+// injectUnit makes a ready unit runnable from outside the runtime: the
+// MPMC injection queue is the one container a foreign goroutine may
 // push to.
-func (rt *Runtime) injectResumed(j *ult.ULT) {
+func (rt *Runtime) injectUnit(j *ult.ULT) {
 	rt.inject.Push(j)
 	rt.idle.Wake()
+}
+
+// Spawn creates a detached ULT running fn, from any goroutine. It enters
+// through the injection queue whatever the policy: a foreign caller has
+// no ULT whose continuation work-first could push aside. Nobody joins
+// the unit; its descriptor recycles at completion.
+func (rt *Runtime) Spawn(fn func(*Context)) {
+	th := &Thread{rt: rt, fn: fn}
+	th.u = ult.NewDetachedWith(mtBody, th)
+	ult.MarkReady(th.u)
+	rt.injectUnit(th.u)
 }
 
 // Finalize stops the workers (myth_fini). Outstanding ULTs must have been
@@ -469,6 +480,6 @@ func (c *Context) WorkerID() int { return c.self.Owner().ID() }
 func (c *Context) IOPark() (park func(), unpark func()) {
 	self, rt := c.self, c.rt
 	return func() { self.Suspend() }, func() {
-		ult.ResumeAndRequeue(self, rt.injectResumed)
+		ult.ResumeAndRequeue(self, rt.injectUnit)
 	}
 }

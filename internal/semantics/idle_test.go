@@ -66,8 +66,8 @@ func leftLoop() (string, string) {
 // any one push path and the burst that uses it hangs (the watchdog names
 // it) instead of being rescued by a spinning executor. Bursts alternate with quiescence; at
 // the end Finalize must return from a fully parked runtime and leave no
-// dispatch loop behind. The pump subtests do the same for the serving
-// tier's shard pumps, whose park shares the budget (see pumpWakeups).
+// dispatch loop behind. The "pump" subtests do the same for the serving
+// tier's launch and drain wakes (see serveWakeups).
 func TestNoLostWakeups(t *testing.T) {
 	old := ultSpinBudget
 	ultSpinBudget = 0
@@ -250,7 +250,7 @@ func TestNoLostWakeups(t *testing.T) {
 	}
 	t.Run("pump", func(t *testing.T) {
 		for _, name := range core.Backends() {
-			t.Run(name, func(t *testing.T) { pumpWakeups(t, name) })
+			t.Run(name, func(t *testing.T) { serveWakeups(t, name) })
 		}
 	})
 }

@@ -2,6 +2,7 @@ package semantics
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -17,22 +18,24 @@ type fixedRouter int
 
 func (r fixedRouter) Pick(int, func(int) int) int { return int(r) }
 
-// settle waits until the server's pumps have parked and stay parked: the
-// summed pump-park count unchanged across three polls 1 ms apart. With
-// the spin budget at 0 a pump with nothing to do parks on its first
-// empty poll, so a quiet count means every pump is asleep and only a
-// kick will move it.
-func settle(s *serve.Server) uint64 {
-	last, same := s.Metrics().PumpParks, 0
-	for same < 3 {
+// settle waits until the server's executors have parked and stay
+// parked: the summed executor-park count unchanged across three polls
+// 1 ms apart. With the spin budget at 0 an executor with nothing to run
+// parks on its second empty poll, so a quiet count means every idle
+// executor is asleep and only a push's wake will move it. A yielding
+// unit in flight keeps re-waking its pool's sleepers, so the wait is
+// capped at 50 polls: it only sharpens a case, no assertion depends on
+// it. The shard keepers are parked on their main threads throughout.
+func settle(s *serve.Server) {
+	last, same := s.Metrics().Sched.Parks, 0
+	for polls := 0; same < 3 && polls < 50; polls++ {
 		time.Sleep(time.Millisecond)
-		if now := s.Metrics().PumpParks; now == last {
+		if now := s.Metrics().Sched.Parks; now == last {
 			same++
 		} else {
 			last, same = now, 0
 		}
 	}
-	return last
 }
 
 // until polls cond every 100 µs; the watchdog bounds the wait.
@@ -66,37 +69,70 @@ func must[T any](f *serve.Future[T], err error) T {
 	return v
 }
 
-// pumpWakeups is the pump half of the lost-wakeup surface: every event
-// that can give a parked shard pump something to do has its own case,
-// and each case waits for the pumps to park before it fires the event,
-// so the event's kick is the only way forward. Delete the kick from a
-// waker and its case hangs; the watchdog names it. The spin budget is 0
-// (the caller forces it), so pumps park on their first empty poll.
-func pumpWakeups(t *testing.T, backend string) {
+// keyOn finds an affinity key the server pins to the wanted shard.
+func keyOn(s *serve.Server, shard int) string {
+	for i := 0; ; i++ {
+		if k := fmt.Sprint("k", i); s.ShardOf(k) == shard {
+			return k
+		}
+	}
+}
+
+// serveWakeups is the serving half of the lost-wakeup surface. No
+// goroutine polls the shard queues: a queued request is launched by the
+// event that frees an executor slot, or by its own producer's re-check
+// once it is queued, and a shard's keeper sleeps on its main thread
+// until the drain needs it. Every such wake site has its own case, and
+// each case sets the scene so that its site is the only way forward:
+// delete the wake and the case hangs; the watchdog names it. The spin
+// budget is 0 (the caller forces it), so executors park on their second
+// empty poll.
+func serveWakeups(t *testing.T, backend string) {
 	ctx := context.Background()
 	cases := []struct {
 		name string
 		opts serve.Options
 		run  func(s *serve.Server)
 	}{
-		{"push-while-parked-with-work-in-flight", serve.Options{}, func(s *serve.Server) {
+		// A producer queues at the cap while the last in-flight unit
+		// finishes: a's completion frees the cap and launches — and
+		// sheds — the expired q, whose dequeue wakes the producer parked
+		// on the full queue. By the time that producer has queued, a's
+		// completion is over and nothing else is in flight, so only the
+		// producer's own re-check launches b.
+		{"push-while-parked-with-work-in-flight", serve.Options{MaxInFlight: 1, QueueDepth: 1}, func(s *serve.Server) {
 			sub := s.Submitter()
-			gate := make(chan struct{})
-			a, err := serve.DoULT(sub, ctx, func(c core.Ctx) (int, error) {
-				return 1, core.AwaitIO(c, gate)
-			}, serve.Req{})
-			until(func() bool { return s.Metrics().IOParked == 1 })
+			var released atomic.Bool
+			a, errA := serve.DoULT(sub, ctx, spinUntil(&released), serve.Req{})
+			until(func() bool { return s.Metrics().InFlight == 1 })
+			q, errQ := serve.Do(sub, ctx, func() (int, error) { return 0, nil },
+				serve.Req{NonBlocking: true, Deadline: time.Now().Add(time.Millisecond)})
+			if errQ != nil {
+				panic(errQ)
+			}
+			b := make(chan error, 1)
+			go func() {
+				f, err := serve.Do(sub, ctx, func() (int, error) { return 2, nil }, serve.Req{})
+				if err == nil {
+					_, err = f.Wait(ctx)
+				}
+				b <- err
+			}()
+			time.Sleep(10 * time.Millisecond) // q's deadline passes; b's producer parks
 			settle(s)
-			// The pump is parked with a in flight; only the push's kick
-			// launches b.
-			must(serve.Do(sub, ctx, func() (int, error) { return 2, nil }, serve.Req{}))
-			close(gate)
-			must(a, err)
+			released.Store(true)
+			if err := <-b; err != nil {
+				panic(err)
+			}
+			if _, err := q.Wait(ctx); !errors.Is(err, serve.ErrExpired) {
+				panic(fmt.Sprintf("expired request resolved to %v", err))
+			}
+			must(a, errA)
 		}},
+		// A completion frees the cap under a queue. c parks on I/O for
+		// the whole case, so the shard is not idle when a completes.
 		{"completion-frees-cap-while-parked", serve.Options{MaxInFlight: 1}, func(s *serve.Server) {
 			sub := s.Submitter()
-			// c parks on I/O for the whole case, so a's completion is not
-			// the last one: the kick it owes is the room-under-a-queue one.
 			gate := make(chan struct{})
 			c, errC := serve.DoULT(sub, ctx, func(c core.Ctx) (int, error) {
 				return 3, core.AwaitIO(c, gate)
@@ -106,13 +142,14 @@ func pumpWakeups(t *testing.T, backend string) {
 			a, errA := serve.DoULT(sub, ctx, spinUntil(&released), serve.Req{})
 			until(func() bool { return s.Metrics().InFlight == 2 })
 			b, errB := serve.Do(sub, ctx, func() (int, error) { return 2, nil }, serve.Req{})
-			settle(s) // parked at the cap with b queued
+			settle(s) // at the cap with b queued
 			released.Store(true)
 			must(b, errB)
 			must(a, errA)
 			close(gate)
 			must(c, errC)
 		}},
+		// An I/O park frees the cap under a queue.
 		{"io-park-frees-cap-while-parked", serve.Options{MaxInFlight: 1}, func(s *serve.Server) {
 			sub := s.Submitter()
 			var step atomic.Bool
@@ -125,28 +162,24 @@ func pumpWakeups(t *testing.T, backend string) {
 			}, serve.Req{})
 			until(func() bool { return s.Metrics().InFlight == 1 })
 			b, errB := serve.Do(sub, ctx, func() (int, error) { return 2, nil }, serve.Req{})
-			settle(s) // parked at the cap with b queued
+			settle(s) // at the cap with b queued
 			step.Store(true)
-			// a's I/O park frees the cap; its kick is the only way b runs
+			// a's I/O park frees the cap; it is the only way b runs
 			// before the gate opens.
 			must(b, errB)
 			close(gate)
 			must(a, errA)
 		}},
+		// Stealing: a backlog is forced onto capped shard 0 while shard
+		// 1 is capped too; when shard 1's unit completes, its freed slot
+		// must take the backlog, one request per completion, while
+		// shard 0 stays held.
 		{"steal-wake", serve.Options{Shards: 2, MaxInFlight: 1, Steal: true, Router: fixedRouter(0)}, func(s *serve.Server) {
 			sub := s.Submitter()
-			key := ""
-			for i := 0; key == ""; i++ {
-				if k := fmt.Sprint("k", i); s.ShardOf(k) == 0 {
-					key = k
-				}
-			}
-			var released atomic.Bool
-			a, errA := serve.DoULT(sub, ctx, spinUntil(&released), serve.Req{Key: key})
-			until(func() bool { return s.Metrics().InFlight == 1 })
-			settle(s) // shard 0 parked at its cap, shard 1 idle and parked
-			// Shard 0 cannot launch these until a finishes; the backlog
-			// reaching the steal depth must wake shard 1 to take them.
+			var hold0, hold1 atomic.Bool
+			a0, err0 := serve.DoULT(sub, ctx, spinUntil(&hold0), serve.Req{Key: keyOn(s, 0)})
+			a1, err1 := serve.DoULT(sub, ctx, spinUntil(&hold1), serve.Req{Key: keyOn(s, 1)})
+			until(func() bool { return s.Metrics().InFlight == 2 })
 			var fs []*serve.Future[int]
 			for i := 0; i < 3; i++ {
 				f, err := serve.Do(sub, ctx, func() (int, error) { return i, nil }, serve.Req{})
@@ -155,31 +188,63 @@ func pumpWakeups(t *testing.T, backend string) {
 				}
 				fs = append(fs, f)
 			}
+			settle(s) // both shards at the cap, the backlog on shard 0
+			hold1.Store(true)
+			must(a1, err1)
 			for _, f := range fs {
 				must(f, nil)
 			}
-			released.Store(true)
-			must(a, errA)
+			hold0.Store(true)
+			must(a0, err0)
+			if st := s.ShardMetrics()[1].Steals; st != 3 {
+				panic(fmt.Sprintf("shard 1 stole %d requests, want 3", st))
+			}
 		}},
+		// Close while idle: only Close's own wake reaches the keeper.
 		{"close-while-parked", serve.Options{}, func(s *serve.Server) {
 			must(serve.Do(s.Submitter(), ctx, func() (int, error) { return 1, nil }, serve.Req{}))
 			settle(s)
 			s.Close()
 		}},
+		// The last completion while draining: Close's wake finds a in
+		// flight, the keeper parks again, and a's completion must wake
+		// it.
 		{"last-completion-while-draining", serve.Options{}, func(s *serve.Server) {
 			var released atomic.Bool
 			a, errA := serve.DoULT(s.Submitter(), ctx, spinUntil(&released), serve.Req{})
 			until(func() bool { return s.Metrics().InFlight == 1 })
-			parks := settle(s)
+			settle(s)
 			closed := make(chan struct{})
 			go func() {
 				s.Close()
 				close(closed)
 			}()
-			// Close's kick moves the pump into the drain, which parks
-			// again to wait for a — whose completion, the last one,
-			// must kick it.
-			until(func() bool { return s.Metrics().PumpParks > parks })
+			time.Sleep(10 * time.Millisecond) // the keeper sees a in flight and parks
+			released.Store(true)
+			must(a, errA)
+			<-closed
+		}},
+		// The drain deadline sweeps a queue: a holds the only slot past
+		// the deadline, so b is never launched, and only the deadline's
+		// wake lets a keeper resolve it with ErrClosed.
+		{"drain-deadline-sweeps-queue", serve.Options{MaxInFlight: 1, DrainTimeout: 20 * time.Millisecond}, func(s *serve.Server) {
+			sub := s.Submitter()
+			var released atomic.Bool
+			a, errA := serve.DoULT(sub, ctx, spinUntil(&released), serve.Req{})
+			until(func() bool { return s.Metrics().InFlight == 1 })
+			b, errB := serve.Do(sub, ctx, func() (int, error) { return 2, nil }, serve.Req{})
+			if errB != nil {
+				panic(errB)
+			}
+			settle(s)
+			closed := make(chan struct{})
+			go func() {
+				s.Close()
+				close(closed)
+			}()
+			if _, err := b.Wait(ctx); !errors.Is(err, serve.ErrClosed) {
+				panic(fmt.Sprintf("queued request past the drain deadline resolved to %v", err))
+			}
 			released.Store(true)
 			must(a, errA)
 			<-closed
@@ -197,7 +262,7 @@ func pumpWakeups(t *testing.T, backend string) {
 			go func() {
 				defer func() { done <- recover() }()
 				c.run(s)
-				s.Close() // every case ends parked; Close's kick is load-bearing too
+				s.Close() // every case ends idle; Close's wake is load-bearing too
 			}()
 			select {
 			case p := <-done:
@@ -206,7 +271,7 @@ func pumpWakeups(t *testing.T, backend string) {
 				}
 			case <-time.After(30 * time.Second):
 				// No Close: the server is wedged by construction.
-				t.Fatalf("hung — a lost pump wakeup\n%s", allStacks())
+				t.Fatalf("hung — a lost serving wakeup\n%s", allStacks())
 			}
 			agg := s.Metrics()
 			if agg.Submitted != agg.Completed+agg.Rejected+agg.Expired {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,19 +35,19 @@ type Req struct {
 	NonBlocking bool
 }
 
-// request is one queued submission: the untyped half of a call, which
-// is all that admission, the queues, the pump and finish handle.
+// request is one submission: the untyped half of a call, which is all
+// that admission, the queues, launch and finish handle.
 type request struct {
 	id    uint64
-	shard *shard          // shard accountable for the request; thief overwrites at steal
+	shard *shard          // shard accountable for the request; a thief overwrites it
 	ctx   context.Context // submission context; nil means background
 	ult   bool            // needs a stackful ULT (body takes a Ctx)
 	keyed bool            // pinned by affinity key: never re-routed, never stolen
 	enq   time.Time
-	// deadline is the request's completion budget (zero: none). The
-	// pump sheds queued requests whose deadline has passed (one time
-	// comparison — no timer), and running handlers see it through the
-	// lazily built cancellation signal below.
+	// deadline is the request's completion budget (zero: none). Launch
+	// sheds requests whose deadline has passed (one time comparison —
+	// no timer), and running handlers see it through the lazily built
+	// cancellation signal below.
 	deadline time.Time
 	// cancelOnce/cancelCh/stopCancel materialize the handler-visible
 	// cancellation signal (core.Canceler) on first use only: the hot
@@ -66,8 +67,8 @@ type request struct {
 // holds the *call[T] pointer, so storing it allocates nothing.
 type work interface {
 	// Run executes the body and resolves the Future; the Ctx is nil for
-	// tasklet-shaped bodies. It is the detached work unit the pump
-	// launches (core.Runtime.Spawn).
+	// tasklet-shaped bodies. It is the detached work unit launch
+	// spawns (core.Runtime.Spawn).
 	core.Work
 	// fail resolves the Future with an error without running the body
 	// (cancellation and shutdown paths).
@@ -108,56 +109,55 @@ func (c *call[T]) fail(err error) {
 }
 
 // shard is one independent serving lane: a backend runtime, its bounded
-// queues, its pump goroutine, and its slice of the metrics.
+// queues, its keeper goroutine, and its slice of the metrics.
 //
-// Admission is a counter: queued caps the shard's accepted-but-
-// unlaunched requests at QueueDepth with a CAS increment (admit), and
-// every receive from either queue decrements it (pop). An admitted
-// request is sent into keyed or unkeyed, each sized to the full depth,
-// so the send never blocks: a request is counted before it is sent and
-// received before it is uncounted, so queued never leaves
-// [0, QueueDepth]. A producer blocked on a full shard waits on space,
-// counted in waiters; a pop signals space only while waiters is
-// non-zero, and the woken producer passes the signal on while room and
-// waiters remain, so one one-slot channel wakes any number of them.
+// A request reaches the runtime by one of two roads. With an executor
+// slot free under MaxInFlight (claim) its producer launches it at once;
+// otherwise it is queued, and the event that next frees a slot launches
+// it (pull). Admission to the queues is a counter: queued caps the
+// shard's accepted-but-unlaunched requests at QueueDepth with a CAS
+// increment (admit), and every receive from either queue decrements it
+// (pop). An admitted request is sent into keyed or unkeyed, each sized
+// to the full depth, so the send never blocks: a request is counted
+// before it is sent and received before it is uncounted, so queued
+// never leaves [0, QueueDepth]. A producer blocked on a full shard waits
+// on space, counted in waiters; a pop signals space only while waiters
+// is non-zero, and the woken producer passes the signal on while room
+// and waiters remain, so one one-slot channel wakes any number of them.
 // The queue split is what makes stealing safe by construction — Go
-// channels are MPMC, so any idle pump may receive from another shard's
-// unkeyed channel, while the keyed channel has exactly one consumer:
-// the owning pump.
+// channels are MPMC, so a slot freed on any shard may receive from
+// another shard's unkeyed channel, while the keyed channel is only ever
+// received from for its own shard.
 type shard struct {
 	s       *Server
 	id      int
-	keyed   chan *request // drained only by the owning pump — affinity
-	unkeyed chan *request // drained by the owner and by stealing pumps
+	keyed   chan *request // launched only on this shard — affinity
+	unkeyed chan *request // launched here or, stolen, on a peer
 	// space is the one-slot wake of producers parked on a full shard;
 	// waiters counts them.
 	space   chan struct{}
 	waiters atomic.Int64
 
-	inflight atomic.Int64 // launched-but-unfinished work units
+	inflight atomic.Int64 // executor slots taken: launched-but-unfinished work units
 	// ioparked counts the subset of inflight currently parked on the
 	// async-I/O reactor (lwt.Sleep, ReadIO, ...): launched and
-	// unfinished, but holding no executor. The pump's admission gate and
-	// the shutdown pacer meter true CPU occupancy — inflight minus
-	// ioparked — so handlers waiting on I/O do not cap the shard's
-	// concurrency; the drain loop keeps watching total inflight, because
-	// a parked handler still owes a completion.
+	// unfinished, but holding no executor. The slot claim meters true
+	// CPU occupancy — inflight minus ioparked — so handlers waiting on
+	// I/O do not cap the shard's concurrency; the drain watches total
+	// inflight, because a parked handler still owes a completion.
 	ioparked atomic.Int64
 	queued   atomic.Int64 // admission counter: accepted-but-unlaunched, both queues
 	m        metrics
-	done     chan struct{} // pump exited, runtime finalized
+	done     chan struct{} // keeper exited, runtime finalized
 	// ring is the shard's request lane in the flight recorder. It is
 	// multi-writer — finish runs on whichever backend executor completed
 	// the request — which the ring's claim protocol handles.
 	ring *trace.Ring
-	// rt publishes the shard's runtime to metrics scrapes (SchedStats);
-	// only the pump goroutine stores it.
-	rt atomic.Pointer[core.Runtime]
-	// sleep is the pump's armed flag: set just before the pump re-checks
-	// its wake condition and parks, cleared by the one kick that wakes it
-	// (see wait). unpark is the runtime's MainPark wake, written by the
-	// pump before it first arms the flag.
-	sleep  atomic.Bool
+	// rt is the shard's runtime and unpark its keeper's main-thread
+	// wake. The keeper sets both before it reports ready, and New
+	// returns only after every keeper did, so producers, executors and
+	// metrics scrapes read them without synchronization.
+	rt     *core.Runtime
 	unpark func()
 }
 
@@ -165,14 +165,6 @@ type shard struct {
 // requests, two atomic loads.
 func (sh *shard) load() int {
 	return int(sh.queued.Load() + sh.inflight.Load())
-}
-
-// queueFor picks the request's admission channel by affinity.
-func (sh *shard) queueFor(r *request) chan *request {
-	if r.keyed {
-		return sh.keyed
-	}
-	return sh.unkeyed
 }
 
 // admit claims one queue slot: a CAS increment of queued below
@@ -208,38 +200,72 @@ func (sh *shard) unwait() {
 	}
 }
 
-// push buffers one admitted request — the single place the accepted-
-// submission counter is bumped, shared by the non-blocking and parked
-// paths. The channel send cannot block: each queue's capacity is the
-// admission bound. The push then kicks the shard's pump, and with
-// stealing on, an unkeyed backlog reaching stealKickDepth also wakes a
-// parked peer to steal it.
-func (sh *shard) push(r *request) {
+// accept makes sh the request's accepting shard — the single place the
+// accepted-submission counter is bumped, shared by every admission
+// path.
+func (sh *shard) accept(r *request) {
 	r.shard = sh
-	q := sh.queueFor(r)
 	sh.m.submitted.Add(1)
-	q <- r
-	sh.kick()
-	if q == sh.unkeyed && sh.s.opts.Steal && len(q) >= stealKickDepth {
-		sh.s.kickThief(sh)
-	}
 }
 
-// kickThief wakes one parked pump that could steal from victim: a peer
-// with room under its cap. The depth check that calls it reads the
-// channel length, which is not an atomic, so a wake can be missed in a
-// race; that costs the steal, never the request — the victim's own pump
-// still serves its queue.
-func (s *Server) kickThief(victim *shard) {
-	for _, sh := range s.all {
-		if sh != victim && sh.sleep.Load() && sh.room() > 0 && sh.kick() {
-			return
+// start is the producer's own launch: with an executor slot free on sh
+// it launches r there at once, bypassing the queue. With stealing on,
+// an unkeyed request whose shard has no slot free may run on a peer
+// that has one; it stays Submitted on sh and counts as that peer's
+// steal. It reports whether r was started (or shed at launch).
+func (sh *shard) start(r *request) bool {
+	run := sh
+	if !sh.claim() {
+		if run = sh.peerWithRoom(r); run == nil {
+			return false
+		}
+	}
+	sh.accept(r)
+	if run != sh {
+		run.stole(r)
+	}
+	if !run.launch(r) {
+		run.pull() // shed: the slot went back, maybe with a request queued behind it
+	} else if r.id%launchYieldEvery == 0 {
+		runtime.Gosched()
+	}
+	return true
+}
+
+// peerWithRoom claims an executor slot for an unkeyed r, with stealing
+// on, on some shard other than sh and returns that shard, or nil.
+func (sh *shard) peerWithRoom(r *request) *shard {
+	if r.keyed || !sh.s.opts.Steal {
+		return nil
+	}
+	for _, p := range sh.s.all {
+		if p != sh && p.claim() {
+			return p
+		}
+	}
+	return nil
+}
+
+// push queues one admitted request and then pulls, for the slot an
+// event may have freed between the producer's claim and its send. With
+// stealing on, an unkeyed request may be pulled by any shard.
+func (sh *shard) push(r *request) {
+	sh.accept(r)
+	if r.keyed {
+		sh.keyed <- r
+	} else {
+		sh.unkeyed <- r
+	}
+	sh.pull()
+	if sh.s.opts.Steal && !r.keyed {
+		for _, p := range sh.s.all {
+			p.pull()
 		}
 	}
 }
 
 // pop settles the dequeue side of one request received from either
-// channel, whether by the owning pump or a stealing one: the admission
+// channel, whether by its own shard or a stealing one: the admission
 // counter drops, and a producer parked on the full shard is woken.
 func (sh *shard) pop() {
 	sh.queued.Add(-1)
@@ -248,10 +274,11 @@ func (sh *shard) pop() {
 	}
 }
 
-// take is the one dequeue step, shared by the serving pump and the
-// drain: a non-blocking receive, settled by pop, or nil with both queues
-// empty. Keyed requests come first — only this pump can serve them,
-// while queued unkeyed work may still be rescued by a thief.
+// take is the one dequeue step of the shard's own queues, shared by
+// pull and the drain's sweep: a non-blocking receive, settled by pop,
+// or nil with both queues empty. Keyed requests come first — only this
+// shard can run them, while queued unkeyed work may still be rescued by
+// a thief.
 func (sh *shard) take() *request {
 	var r *request
 	select {
@@ -359,8 +386,9 @@ func (s *Server) route(r *request, pin int) *shard {
 }
 
 // submit is the one admission path, two-level: the router's pick is
-// tried first; if that shard's queue is full the request is re-routed
-// once to the least-loaded shard. pin >= 0 bypasses the router and
+// tried first — launched at once with a slot free (start), else
+// queued; if that shard's queue is full the request is re-routed once
+// to the least-loaded shard. pin >= 0 bypasses the router and
 // disables the re-route (keyed affinity). With both full, a
 // non-blocking submission (block false) surfaces ErrSaturated, and a
 // blocking one parks on the re-route target until space frees, its
@@ -370,7 +398,7 @@ func (s *Server) route(r *request, pin int) *shard {
 // of blocking past it.
 func (s *Server) submit(r *request, pin int, block, adopted bool) error {
 	sh := s.route(r, pin)
-	if sh.tryEnqueue(r) {
+	if sh.start(r) || sh.tryEnqueue(r) {
 		return nil
 	}
 	alt := sh

@@ -157,7 +157,7 @@ func TestAdmissionCancelledWaiterPassesOn(t *testing.T) {
 }
 
 // TestAdmissionBurstOfPopsAdmitsEveryWaiter frees two slots back to
-// back under two parked producers, the way the pump's batch drain or a
+// back under two parked producers, the way a drain's sweep or a
 // thief's steal pops, while the executor slot stays taken so nothing
 // else pops: both producers must be admitted. A wake sent while a
 // producer is blocked on space is handed to it directly; the two wakes

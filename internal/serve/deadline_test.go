@@ -35,7 +35,7 @@ func TestDeadlineShedsQueuedRequest(t *testing.T) {
 		t.Fatal(err) // queue has room: accepted, but cannot launch yet
 	}
 	time.Sleep(30 * time.Millisecond)
-	close(release) // pump proceeds, sees the spent budget at launch
+	close(release) // the freed slot launches it and sees the spent budget
 	if _, werr := f.Wait(context.Background()); !errors.Is(werr, ErrExpired) {
 		t.Fatalf("expired queued request = %v, want ErrExpired", werr)
 	}

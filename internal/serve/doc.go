@@ -7,8 +7,8 @@
 // outrun the runtime.
 //
 // The engine is a pool of shards. Each shard is an independent backend
-// runtime behind its own bounded multi-producer queues and pump
-// goroutine (the backend's main thread); power-of-two choices on shard
+// runtime behind its own bounded multi-producer queues, with a keeper
+// goroutine as the backend's main thread; power-of-two choices on shard
 // depth spreads unkeyed submissions across shards (Options.Router
 // replaces it only as a test seam), and keyed submissions pin to one
 // shard by hash so backend-local state stays warm. All submissions
@@ -17,89 +17,86 @@
 // admission — carried in a Req:
 //
 //	producers (any goroutine)
-//	  Do / DoULT          ───P2C────▶ shard 0: queues ──▶ pump ──▶ runtime 0
-//	  Do{Req.Key}         ──FNV-1a──▶ shard 1: queues ──▶ pump ──▶ runtime 1
-//	        │                         …
-//	        ▼                         shard N-1: queues ─▶ pump ──▶ runtime N-1
+//	  Do / DoULT    ───P2C────▶ shard 0 ──slot free──▶ Spawn ──▶ runtime 0
+//	  Do{Req.Key}   ──FNV-1a──▶ shard 1 ──at the cap─▶ queues
+//	        │                     ▲                      │
+//	        │                     └── finish / I/O park ─┘  (pull: launch)
+//	        ▼
 //	   Future[T]  ◀── complete(value, err, panic) ◀── any shard's executor
 //
-// Every runtime interaction — creation, yielding, finalization — happens
-// on the owning shard's pump goroutine, so backends whose master must
-// drive its own scheduler (Converse's return mode, §VIII-B1) serve
-// traffic exactly like preemptive ones. Admission is one counter per
-// shard: a submission is accepted by a CAS increment of the shard's
-// queued count below QueueDepth, and the pump's dequeue decrements it.
-// Control is two-level: a full shard re-routes one submission once (to
-// the least-loaded shard) before a non-blocking Do surfaces
-// ErrSaturated, a blocking Do parks on the least-loaded shard until a
-// dequeue signals it, and Close is a graceful drain — admission stops,
-// every shard runs down its queues (bounded by Options.DrainTimeout),
-// and every accepted Future resolves.
+// A request launches where its executor slot is known to be free, and
+// nowhere else: a producer whose shard has a slot free under
+// MaxInFlight (inflight − ioparked, claimed by CAS) spawns the work
+// unit itself; otherwise the request is queued, and the next event that
+// frees a slot — a completion, or an I/O park — takes it from the queue
+// and spawns it. core.Runtime.Spawn is safe from any goroutine, so no
+// goroutine exists to move requests: the keeper only opens the runtime,
+// parks its main thread (core.Runtime.MainPark, which is what drives
+// Converse's processor 0 and frees the adopted Argobots and
+// MassiveThreads primary's executor) until Close, and then drains and
+// finalizes it. The two roads cannot strand a request: a producer
+// re-checks for a free slot after it queued, and an event publishes the
+// slot it freed before it looks at the queues, so whichever of the two
+// comes second sees the other — a request never sits queued while its
+// shard (with stealing on, any shard) has a slot free. A producer that
+// launched its own request yields its thread on one launch in sixteen:
+// one whose futures are done before it waits never blocks, and would
+// otherwise hold its P for a whole preemption slice while the executors
+// running its requests wait.
+//
+// Admission is one counter per shard: a queued submission is accepted
+// by a CAS increment of the shard's queued count below QueueDepth, and
+// each dequeue decrements it. Control is two-level: a full shard
+// re-routes one submission once (to the least-loaded shard) before a
+// non-blocking Do surfaces ErrSaturated, a blocking Do parks on the
+// least-loaded shard until a dequeue signals it, and Close is a graceful
+// drain — admission stops, queued requests keep launching as slots free
+// (bounded by Options.DrainTimeout), and every accepted Future resolves.
 //
 // A request costs one heap object from Do to completion: its call
-// record holds the queue entry, the Future and the body, and the pump
-// launches it as a detached work unit (core.Runtime.Spawn) that keeps
-// no handle. The Future's channel is made only for a waiter that has to
+// record holds the queue entry, the Future and the body, and launch
+// spawns it as a detached work unit (core.Runtime.Spawn) that keeps no
+// handle. The Future's channel is made only for a waiter that has to
 // block.
 //
-// # Idle executors
+// # Idle
 //
-// A shard's executors do not busy-wait. Every backend's dispatch loop
-// shares one idle policy (the idle step of ult.Executor.Run): an executor that finds
-// nothing to run yields its OS thread for a fixed budget of 64
-// consecutive empty polls, then parks on its pool's ult.Idler until
-// something is pushed there. Whatever makes a unit runnable wakes the
-// pool's sleepers — a launch from the pump, a child created or a yield
-// requeued by a running unit, a join or aio completion resuming a
-// parked unit, a push a thief could steal — so an idle Server costs no
-// CPU and a request never queues behind a spinner. There is no option
-// to set.
-//
-// The pump, the backend's main thread, follows the same policy. With
-// nothing to launch it polls again after a yield for the same budget —
-// the backend's Yield while work is in flight, which is what runs local
-// work on the cooperative masters, a runtime.Gosched otherwise — and
-// then parks its main thread (core.Runtime.MainPark: the adopted
-// primary suspends on Argobots and MassiveThreads, the Converse master
-// drains processor 0 and then sleeps on its idler, Go and Qthreads wait
-// on a channel). Before it parks it arms a sleep flag and re-checks its
-// wake condition, and every event that can give it work kicks it after
-// publishing the event: a push, a completion that frees room under a
-// non-empty queue or ends the last in-flight unit, an I/O park that
-// frees room, a peer's unkeyed backlog reaching two (with stealing on),
-// Close, the drain deadline, and the last producer leaving a closed
-// server. A wake that
-// brings nothing to launch steals or parks again at once: the budget
-// is spent only after work. Metrics.PumpParks counts the parks, so
-// whether the master is polling is a /metrics query, not a CPU
-// subtraction.
+// An idle Server costs no CPU, and there is no option to set. Every
+// backend's dispatch loop shares one idle policy (the idle step of
+// ult.Executor.Run): an executor that finds nothing to run yields its OS
+// thread for a fixed budget of 64 consecutive empty polls, then parks
+// on its pool's ult.Idler until something is pushed there. Whatever
+// makes a unit runnable wakes the pool's sleepers — a launch, a child
+// created or a yield requeued by a running unit, a join or aio
+// completion resuming a parked unit, a push a thief could steal — so a
+// request never queues behind a spinner. The keepers sleep on their
+// main threads from New to Close, and no timer re-scans the queues, so
+// on an idle server Metrics.Sched.Parks and EmptyPops stay flat.
 //
 // # Work stealing
 //
 // The shard set is fixed when New starts it, as each of the paper's
 // runtimes fixes its executors at initialization; a deployment that
 // wants N shards sets Options.Shards to N. Within that set, work
-// stealing (Options.Steal, off by default) moves unkeyed load: a shard
-// whose own queues are empty and whose executors have spare capacity
-// takes queued unkeyed requests from the shard with the deepest unkeyed
-// backlog and runs them itself — as the last step before its pump
-// parks, and again whenever a push grows a peer's unkeyed backlog to
-// two and kicks it awake; no timer re-scans the pool. Stealing never
-// moves keyed work: each shard buffers keyed and unkeyed requests
-// separately, and only the owning pump ever receives from the keyed
-// queue, so the affinity contract — same key, same runtime, for the
-// server's lifetime — holds by construction, not by policy. A stolen
-// request stays Submitted on the shard that accepted it and becomes
-// Completed (and Steals) on the thief, so per-shard Submitted/Completed
-// drift under stealing while every aggregate identity below holds
-// exactly.
+// stealing (Options.Steal, off by default) moves unkeyed load. A slot
+// that frees with its own shard's queues empty takes the next queued
+// unkeyed request from the shard with the deepest unkeyed backlog and
+// runs it; and an unkeyed request whose shard has no slot free starts
+// at once on a peer that has one. Stealing never moves keyed work: each
+// shard buffers keyed and unkeyed requests separately, and the keyed
+// queue is only ever launched from on its own shard, so the affinity
+// contract — same key, same runtime, for the server's lifetime — holds
+// by construction, not by policy. A stolen request stays Submitted on
+// the shard that accepted it and becomes Completed (and Steals) on the
+// shard that ran it, so per-shard Submitted/Completed drift under
+// stealing while every aggregate identity below holds exactly.
 //
 // # Observability
 //
 // Server.Metrics returns one Metrics snapshot per shard plus an
 // aggregate. The counters (Submitted, Completed, Saturated, Canceled,
-// Rejected, Failed, Panicked, Steals, PumpParks) are monotonic over the
-// Server's lifetime; the gauges (QueueDepth, InFlight, IOParked) are
+// Rejected, Failed, Panicked, Steals) are monotonic over the Server's
+// lifetime; the gauges (QueueDepth, InFlight, IOParked) are
 // instantaneous.
 // Invariants the fields keep:
 //
@@ -158,12 +155,13 @@
 //
 //   - serve.go: Options, Server, New, the accessors and Snapshot.
 //   - admission.go: Req, the request and its typed call, the shard's
-//     queues and admission counter (admit, push, pop, take), Do/DoULT,
-//     route and submit.
-//   - pump.go: the pump's park and kick, the serving loop, stealing,
+//     queues and admission counter (admit, accept, start, push, pop,
+//     take), Do/DoULT, route and submit.
+//   - launch.go: the executor slots (claim, backlog, pull), stealing,
 //     launch, completion (Run, record, finish) and the handler
 //     contexts.
-//   - drain.go: Close and the per-shard shutdown (sweep).
+//   - drain.go: the keeper, Close, its wakes and the drain check, and
+//     the sweep.
 //   - detector.go: the anomaly watchdog and its detector; router.go:
 //     the P2C router and the key hash; future.go: Future; metrics.go and
 //     prom.go: Metrics and its Prometheus page.

@@ -6,102 +6,109 @@ import (
 	"repro/internal/core"
 )
 
+// keep is one shard's keeper: the backend's main thread. It opens the
+// shard's runtime and then parks that main thread (core.Runtime.
+// MainPark) for the server's lifetime — launches and completions never
+// need it, since any goroutine may spawn on the runtime. Its park is
+// what drives Converse's processor 0 and lends the adopted Argobots and
+// MassiveThreads primary's executor to the workers. After Close it
+// wakes to check the drain, sweeps the queues once the drain deadline
+// passed, and finalizes the runtime once the server is drained.
+func (sh *shard) keep(ready chan<- error) {
+	defer close(sh.done)
+	rt, err := core.Open(core.Config{
+		Backend:   sh.s.opts.Backend,
+		Executors: sh.s.opts.Threads,
+		Scheduler: sh.s.opts.Scheduler,
+	})
+	if err != nil {
+		ready <- err
+		sh.ring.Close()
+		return
+	}
+	park, unpark := rt.MainPark()
+	sh.rt, sh.unpark = rt, unpark
+	ready <- nil
+	for !sh.s.drained() {
+		park()
+		if sh.s.expired.Load() {
+			sh.sweep()
+		}
+	}
+	rt.Finalize()
+	sh.ring.Close()
+}
+
 // Close stops the server with a graceful drain: new submissions are
-// rejected with ErrClosed, every shard runs the requests accepted before
-// Close to completion (bounded by Options.DrainTimeout — past the
-// deadline, still-queued requests resolve to ErrClosed instead of
-// running), requests racing with Close resolve to ErrClosed, and each
-// shard's backend is finalized once its pump has drained. No accepted Future is left unresolved. Close blocks
-// until every pump has exited and is idempotent.
+// rejected with ErrClosed, the requests accepted before Close keep
+// launching and run to completion (bounded by Options.DrainTimeout —
+// past the deadline, still-queued requests resolve to ErrClosed instead
+// of running), and each shard's backend is finalized once the whole
+// server has drained. No accepted Future is left unresolved. Close
+// blocks until every keeper has exited and is idempotent.
 func (s *Server) Close() {
 	if s.closed.CompareAndSwap(false, true) {
-		if s.opts.DrainTimeout > 0 {
-			// Written before close(quit): the channel close publishes
-			// it to every pump.
-			s.drainBy.Store(time.Now().Add(s.opts.DrainTimeout).UnixNano())
+		if d := s.opts.DrainTimeout; d > 0 {
+			t := time.AfterFunc(d, func() {
+				s.expired.Store(true)
+				s.wakeKeepers()
+			})
+			defer t.Stop()
 		}
 		close(s.quit)
+		s.wakeKeepers()
 	}
-	s.kickAll()
 	for _, sh := range s.all {
 		<-sh.done
 	}
 }
 
-// kickAll kicks every shard's pump.
-func (s *Server) kickAll() {
+// wakeKeepers unparks every shard's keeper to re-check the drain. After
+// Close it is called from exactly three places besides Close itself:
+// the completion that leaves a shard with nothing in flight (finish),
+// the last producer leaving a submit call (leave), and the drain
+// deadline.
+func (s *Server) wakeKeepers() {
 	for _, sh := range s.all {
-		sh.kick()
+		if sh.unpark != nil { // nil on a shard whose runtime failed to open
+			sh.unpark()
+		}
 	}
 }
 
 // leave ends a producer's submit call. The last producer out after Close
-// kicks every pump: a draining pump parks until the stragglers are gone.
+// wakes the keepers: a drain waits for the stragglers, which may still
+// launch or queue.
 func (s *Server) leave() {
 	if s.active.Add(-1) == 0 && s.closed.Load() {
-		s.kickAll()
+		s.wakeKeepers()
 	}
 }
 
-// shutdown drains one shard on its pump goroutine: accepted requests
-// run to completion (until the drain deadline, after which they resolve
-// to ErrClosed unrun), in-flight work is driven until done, straggling
-// producers are waited out and anything they enqueued is rejected, then
-// the shard's backend is finalized. Every accepted Future resolves.
-// Each of the three waits is the pump's park (wait), not a poll: a drain
-// behind handlers parked on I/O costs no CPU for the length of the park.
-func (sh *shard) shutdown(rt *core.Runtime, park func()) {
-	defer close(sh.done)
-	s := sh.s
-	deadline := s.drainBy.Load()
-	expired := func() bool {
-		return deadline != 0 && time.Now().UnixNano() >= deadline
+// drained reports whether the keepers may finalize: the server is
+// closed, no producer is inside a submit call, and no shard has a
+// request queued or in flight. The reads are ordered against the
+// writers': a producer launches or queues before it leaves, and a slot
+// is claimed before the request it runs is dequeued, so a request
+// moving from a queue to an executor is always seen in one or the
+// other. Launched work always runs to completion — a live work unit
+// cannot be abandoned without corrupting the backend — so the drain
+// deadline bounds queue drain, not execution.
+func (s *Server) drained() bool {
+	if !s.closed.Load() || s.active.Load() != 0 {
+		return false
 	}
-	if deadline != 0 {
-		// The drain deadline is an event too: it wakes a pump parked at
-		// the MaxInFlight cap so still-queued requests are rejected on
-		// time.
-		t := time.AfterFunc(time.Until(time.Unix(0, deadline)), func() { sh.kick() })
-		defer t.Stop()
-	}
-	// Run everything accepted before Close, paced at MaxInFlight so the
-	// drain cannot overload the backend, until the queues are empty or
-	// the deadline passes; requests still queued then resolve to
-	// ErrClosed instead of running.
-	for !expired() {
-		if sh.room() <= 0 {
-			sh.wait(park, func() bool { return sh.room() > 0 || expired() })
-			continue
+	for _, sh := range s.all {
+		if sh.queued.Load() != 0 {
+			return false
 		}
-		r := sh.take()
-		if r == nil {
-			break
+	}
+	for _, sh := range s.all {
+		if sh.inflight.Load() != 0 {
+			return false
 		}
-		sh.launch(rt, r)
 	}
-	sh.sweep()
-	// Launched work always runs to completion — a live work unit cannot
-	// be abandoned without corrupting the backend — so the deadline
-	// bounds queue drain, not execution.
-	for sh.inflight.Load() > 0 {
-		sh.wait(park, func() bool { return sh.inflight.Load() == 0 })
-	}
-	// Producers that passed the closed check concurrently with Close
-	// are counted in active; reject what they enqueue until they are
-	// gone so no Future is left unresolved and no producer is left
-	// blocked. The counter is server-wide (a straggler may target any
-	// shard), so every shard holds its queues open until the last
-	// producer exits.
-	for s.active.Load() > 0 {
-		sh.sweep()
-		sh.wait(park, func() bool { return s.active.Load() == 0 || sh.queued.Load() > 0 })
-	}
-	// A straggler's enqueue happens before its active-counter
-	// decrement, so once active reached zero everything it sent is
-	// already buffered; one final sweep resolves it.
-	sh.sweep()
-	rt.Finalize()
-	sh.ring.Close()
+	return true
 }
 
 // sweep resolves every request still queued on the shard with

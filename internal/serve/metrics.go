@@ -18,8 +18,7 @@ type metrics struct {
 	rejected  atomic.Uint64 // failed with ErrClosed at shutdown
 	failed    atomic.Uint64 // bodies that returned an error
 	panicked  atomic.Uint64 // bodies that panicked
-	steals    atomic.Uint64 // unkeyed requests this shard stole from another shard's queue
-	pumpParks atomic.Uint64 // times the shard's pump parked its main thread
+	steals    atomic.Uint64 // unkeyed requests accepted by another shard and run here
 	lat       lathist.Hist  // end-to-end latency of every completed request
 }
 
@@ -67,18 +66,15 @@ type Metrics struct {
 	Failed uint64
 	// Panicked counts bodies whose panic was captured into the Future.
 	Panicked uint64
-	// Steals counts unkeyed queued requests this shard took from
-	// another shard's queue and ran itself (Options.Steal). Thief-side:
-	// a stolen request stays Submitted on the shard that accepted it
-	// and becomes Completed here, so per-shard Submitted and Completed
-	// drift apart under stealing while the aggregate drain identity
-	// holds exactly.
+	// Steals counts unkeyed requests that ran on this shard although
+	// another shard accepted them (Options.Steal): taken from that
+	// shard's queue by a slot freed here, or started here by their
+	// producer because the accepting shard had no slot free.
+	// Runner-side: a stolen request stays Submitted on the shard that
+	// accepted it and becomes Completed here, so per-shard Submitted and
+	// Completed drift apart under stealing while the aggregate drain
+	// identity holds exactly.
 	Steals uint64
-	// PumpParks counts the times the shard's pump found nothing to do,
-	// spent the idle policy's spin budget and parked its main thread
-	// until a kick. A pump that polled instead would leave it flat while
-	// burning a core; a parked, quiet shard leaves it flat at no cost.
-	PumpParks uint64
 	// QueueDepth is the number of requests waiting in the submission
 	// queue right now.
 	QueueDepth int

@@ -56,8 +56,7 @@ func WriteProm(w io.Writer, views ...View) (int64, error) {
 		{"lwt_serve_rejected_total", "Queued requests failed with ErrClosed at shutdown.", func(m Metrics) uint64 { return m.Rejected }},
 		{"lwt_serve_failed_total", "Request bodies that returned an error.", func(m Metrics) uint64 { return m.Failed }},
 		{"lwt_serve_panicked_total", "Request bodies whose panic was captured.", func(m Metrics) uint64 { return m.Panicked }},
-		{"lwt_serve_steals_total", "Unkeyed queued requests this shard stole from another shard and ran.", func(m Metrics) uint64 { return m.Steals }},
-		{"lwt_serve_pump_parks_total", "Times the shard's pump spent its spin budget with nothing to launch and parked its main thread until a push, completion or shutdown woke it.", func(m Metrics) uint64 { return m.PumpParks }},
+		{"lwt_serve_steals_total", "Unkeyed requests accepted by another shard that ran on this one.", func(m Metrics) uint64 { return m.Steals }},
 	}
 	gauges := []struct {
 		name, help string

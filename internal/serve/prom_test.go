@@ -43,7 +43,7 @@ func TestWritePromExposition(t *testing.T) {
 		"lwt_serve_info", "lwt_serve_uptime_seconds",
 		"lwt_serve_shards",
 		"lwt_serve_submitted_total", "lwt_serve_completed_total",
-		"lwt_serve_steals_total", "lwt_serve_pump_parks_total",
+		"lwt_serve_steals_total",
 		"lwt_serve_queue_depth", "lwt_serve_inflight", "lwt_serve_ioparked",
 		"lwt_serve_latency_seconds", "lwt_sched_pushes_total", "lwt_sched_steals_total",
 		"lwt_sched_parks_total",

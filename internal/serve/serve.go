@@ -22,9 +22,9 @@ var (
 	// expires at shutdown.
 	ErrClosed = errors.New("serve: server closed")
 	// ErrExpired resolves the Future of a deadline-carrying request
-	// whose budget ran out before launch: the pump sheds it from the
-	// queue instead of spending an executor on an answer nobody is
-	// waiting for. Counted in Metrics.Expired.
+	// whose budget ran out before launch: launch sheds it instead of
+	// spending an executor on an answer nobody is waiting for. Counted
+	// in Metrics.Expired.
 	ErrExpired = errors.New("serve: request deadline expired before launch")
 )
 
@@ -39,11 +39,14 @@ const (
 	// is always traced, so the flight recorder never misses a tail-
 	// latency outlier between samples.
 	slowTraceCutoff = 25 * time.Millisecond
-	// stealKickDepth is the unkeyed queue depth at which a push also
-	// wakes a parked peer to steal (Options.Steal): one queued request is
-	// its own pump's to take on the push's kick, a second one queued
-	// behind it means that pump has not caught up.
-	stealKickDepth = 2
+	// launchYieldEvery: a producer that launched its own request yields
+	// its thread on one launch in launchYieldEvery (by request id). Go
+	// preempts a goroutine that never blocks only every 10 ms, and a
+	// producer whose futures are done before it waits for them never
+	// blocks; with more runnable producers and executors than Ps it
+	// would keep its P while the executors running its requests share
+	// the others, and its peers' requests wait behind them.
+	launchYieldEvery = 16
 )
 
 // Options configures a Server.
@@ -61,7 +64,7 @@ type Options struct {
 	// cannot honor degrade per the unified API's negotiation rules.
 	Scheduler string
 	// Shards is the number of independent backend runtimes the server
-	// starts, each behind its own queue and pump; <= 0 means
+	// starts, each behind its own queues; <= 0 means
 	// runtime.NumCPU(). One shard reproduces the unsharded engine. The
 	// pool is fixed for the server's lifetime: keyed submissions hash
 	// over it, and unkeyed ones are routed and stolen across it.
@@ -76,7 +79,7 @@ type Options struct {
 	// Do parks.
 	QueueDepth int
 	// MaxInFlight caps launched-but-unfinished work units per shard. At
-	// the cap the shard's pump stops launching, so its queue fills and
+	// the cap the shard stops launching, so its queue fills and
 	// admission control engages; without it every burst would pour
 	// straight into the backend's unbounded pools. <= 0 means
 	// QueueDepth.
@@ -87,16 +90,16 @@ type Options struct {
 	// Futures with ErrClosed instead of running. Zero means drain
 	// without a deadline.
 	DrainTimeout time.Duration
-	// Steal enables idle-shard work stealing: a shard whose own queues
-	// are empty and whose executors have spare capacity takes unkeyed
-	// queued requests from the most-loaded shard and runs them itself.
-	// Keyed requests are never stolen — they sit in a queue only their
-	// pinned shard's pump drains — so the affinity contract holds
+	// Steal enables work stealing across shards: an executor slot that
+	// frees with its own shard's queues empty takes an unkeyed queued
+	// request from the most-loaded shard and runs it, and an unkeyed
+	// request whose shard has no slot free starts on a peer that has
+	// one. Keyed requests are never stolen — they sit in a queue only
+	// their pinned shard launches from — so the affinity contract holds
 	// verbatim. Stolen requests count as Submitted on the shard that
 	// accepted them and Completed on the shard that ran them; the
 	// aggregate drain identity is unaffected. Stealing is event-driven:
-	// an idle pump steals before it parks, and a push that grows a
-	// shard's unkeyed backlog to two wakes one parked pump to steal it.
+	// no timer re-scans the pool.
 	Steal bool
 	// Tracer records one KindUser interval per request (submission to
 	// completion, Unit = request id) into a per-shard flight-recorder
@@ -139,19 +142,19 @@ type Server struct {
 
 	quit   chan struct{}
 	closed atomic.Bool
-	active atomic.Int64 // producers currently inside a submit call
-	nextID atomic.Uint64
-	start  time.Time
-	// drainBy is the shutdown deadline in unix nanoseconds (0 = none).
-	// It is written before quit closes, so pumps that observed the
-	// close see it.
-	drainBy atomic.Int64
+	// expired is set when the drain deadline (Options.DrainTimeout)
+	// passes: from then on nothing queued is launched, and the keepers
+	// sweep the queues to ErrClosed.
+	expired atomic.Bool
+	active  atomic.Int64 // producers currently inside a submit call
+	nextID  atomic.Uint64
+	start   time.Time
 	// traceMask samples request traces: id&traceMask == 0 emits.
 	// TraceSample rounded up to a power of two, minus one.
 	traceMask uint64
 }
 
-// New starts a server: it spawns one pump goroutine per shard, each
+// New starts a server: it spawns one keeper goroutine per shard, each
 // initializing its own instance of the named backend, and returns once
 // every shard is serving (or any initialization failed, in which case
 // the shards that did start are torn down).
@@ -213,7 +216,7 @@ func New(opts Options) (*Server, error) {
 	s.load = func(i int) int { return s.all[i].load() }
 	ready := make(chan error, len(s.all))
 	for _, sh := range s.all {
-		go sh.pump(ready)
+		go sh.keep(ready)
 	}
 	var firstErr error
 	for range s.all {
@@ -283,16 +286,13 @@ func (s *Server) Snapshot() (Metrics, []Metrics) {
 			Failed:     sh.m.failed.Load(),
 			Panicked:   sh.m.panicked.Load(),
 			Steals:     sh.m.steals.Load(),
-			PumpParks:  sh.m.pumpParks.Load(),
 			QueueDepth: int(sh.queued.Load()),
 			InFlight:   int(sh.inflight.Load()),
 			IOParked:   int(sh.ioparked.Load()),
 			Uptime:     up,
 			Latency:    sh.m.lat.Snapshot(),
 		}
-		if rt := sh.rt.Load(); rt != nil {
-			mt.Sched = rt.SchedStats()
-		}
+		mt.Sched = sh.rt.SchedStats()
 		if secs := up.Seconds(); secs > 0 {
 			mt.Throughput = float64(mt.Completed) / secs
 		}
@@ -306,7 +306,6 @@ func (s *Server) Snapshot() (Metrics, []Metrics) {
 		agg.Failed += mt.Failed
 		agg.Panicked += mt.Panicked
 		agg.Steals += mt.Steals
-		agg.PumpParks += mt.PumpParks
 		agg.QueueDepth += mt.QueueDepth
 		agg.InFlight += mt.InFlight
 		agg.IOParked += mt.IOParked

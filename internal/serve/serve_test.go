@@ -103,7 +103,7 @@ func TestTrySubmitSaturates(t *testing.T) {
 	}, Req{}); err != nil {
 		t.Fatal(err)
 	}
-	<-started // pump has launched it; nothing else will launch now
+	<-started // launched; nothing else will launch now
 	// Fill the depth-2 queue.
 	for i := 0; i < 2; i++ {
 		if _, err := Do(sub, nil, func() (int, error) { return i, nil }, Req{NonBlocking: true}); err != nil {
@@ -159,7 +159,7 @@ func TestQueuedRequestCancelled(t *testing.T) {
 		t.Fatal(err) // queue has room: accepted, but cannot launch yet
 	}
 	cancel()
-	close(release) // pump proceeds, sees the dead context at launch
+	close(release) // the freed slot launches it and sees the dead context
 	if _, werr := f.Wait(context.Background()); !errors.Is(werr, context.Canceled) {
 		t.Fatalf("cancelled queued request = %v, want context.Canceled", werr)
 	}

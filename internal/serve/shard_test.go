@@ -405,19 +405,19 @@ func TestKeyedBlockingParksOnPinnedShard(t *testing.T) {
 	}
 }
 
-// TestIdleShardsStayParked: with no traffic, every shard parks its pump
-// once and then costs nothing — neither the pumps nor the executors
-// poll while the server sits idle.
+// TestIdleShardsStayParked: with no traffic, every shard's executors
+// park once and then cost nothing — neither the executors poll nor
+// anything wakes them while the server sits idle.
 func TestIdleShardsStayParked(t *testing.T) {
 	s := MustNew(Options{Backend: "go", Threads: 1, Shards: 4})
 	defer s.Close()
-	// Each fresh pump parks at once; wait for that, and for the
-	// executors' first spin to end, before the idle window starts.
+	// Each fresh executor spends its spin budget and parks; wait for
+	// that before the idle window starts.
 	deadline := time.Now().Add(10 * time.Second)
 	for i := range s.all {
-		for s.ShardMetrics()[i].PumpParks == 0 {
+		for s.ShardMetrics()[i].Sched.Parks == 0 {
 			if time.Now().After(deadline) {
-				t.Fatalf("shard %d never parked its pump", i)
+				t.Fatalf("shard %d never parked its executor", i)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -427,9 +427,9 @@ func TestIdleShardsStayParked(t *testing.T) {
 	time.Sleep(200 * time.Millisecond)
 	after := s.ShardMetrics()
 	for i := range after {
-		if before[i].PumpParks != after[i].PumpParks || before[i].Sched.EmptyPops != after[i].Sched.EmptyPops {
-			t.Fatalf("idle shard %d moved: PumpParks %d -> %d, EmptyPops %d -> %d", i,
-				before[i].PumpParks, after[i].PumpParks, before[i].Sched.EmptyPops, after[i].Sched.EmptyPops)
+		if before[i].Sched.Parks != after[i].Sched.Parks || before[i].Sched.EmptyPops != after[i].Sched.EmptyPops {
+			t.Fatalf("idle shard %d moved: Parks %d -> %d, EmptyPops %d -> %d", i,
+				before[i].Sched.Parks, after[i].Sched.Parks, before[i].Sched.EmptyPops, after[i].Sched.EmptyPops)
 		}
 	}
 }

@@ -51,7 +51,7 @@ func TestStealRescuesUnkeyedBacklog(t *testing.T) {
 	<-started // shard 0's only in-flight slot is now occupied
 
 	// Keyed requests behind the gate: same key, same shard, and only
-	// shard 0's pump may launch them.
+	// shard 0 may launch them.
 	var keyed []*Future[int]
 	for i := 0; i < 3; i++ {
 		f, err := Do(sub, nil, func() (int, error) { return i, nil },

@@ -13,16 +13,16 @@ import (
 // wake cost. An executor whose next unit arrives within it behaves as
 // under a busy-wait policy; one that has gone a full budget without work
 // costs nothing until the next push. It is one value for every runtime —
-// and for the serving tier's shard pumps, which read it through
+// and for the OpenMP team workers' idle waits, which read it through
 // SpinBudget — a variable rather than a constant only so the lost-wakeup
 // stress test in internal/semantics can force it to 0; nothing else
 // writes it.
 var spinBudget uint32 = 64
 
 // SpinBudget reports the idle policy's spin budget: how many empty polls
-// a waiter yields through before it parks. Main-thread waiters outside
-// the dispatch loops (the serving tier's shard pumps) spend the same
-// budget before their own park, so one policy covers both.
+// a waiter yields through before it parks. Waiters outside the dispatch
+// loops (the OpenMP team workers) spend the same budget before their own
+// park, so one policy covers both.
 func SpinBudget() uint32 { return spinBudget }
 
 // Idler is one wake domain: the executors that pop from one pool (or from

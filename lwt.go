@@ -63,8 +63,10 @@
 // On top of the unified API sits the serving layer (NewServer): a
 // sharded task-submission engine that lets arbitrary goroutines inject
 // work into any backend. ServeOptions.Shards independent backend
-// runtimes sit behind one Server, each with its own bounded queue and
-// pump goroutine; power-of-two choices on shard depth spreads unkeyed
+// runtimes sit behind one Server, each with its own bounded queues; a
+// request launches from its producer while an executor slot is free and
+// otherwise from the completion that frees one, so no goroutine polls
+// on its way. Power-of-two choices on shard depth spreads unkeyed
 // submissions, Req.Key pins a session's requests to one shard by key
 // hash, admission control is
 // two-level (a full shard re-routes once before ErrSaturated
@@ -216,8 +218,10 @@ func WriteIO(c Ctx, w io.Writer, buf []byte) (int, error) { return core.WriteIO(
 // --- Serving layer ---
 
 // Server is a request-serving engine over a pool of backend runtime
-// shards: each shard's pump goroutine owns its runtime's main thread
-// and turns externally submitted requests into work units.
+// shards: externally submitted requests become work units spawned from
+// the submitting goroutine or from the completion that frees their
+// executor slot, while each shard's keeper goroutine holds its
+// runtime's main thread.
 type Server = serve.Server
 
 // ServeOptions configures a Server (backend, executors per shard,
